@@ -2,9 +2,10 @@
 //! processes: daemon start-up, byte-identical repeat submissions served
 //! from the cache, client exit codes, and graceful `--shutdown`.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn hotnoc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hotnoc"))
@@ -159,4 +160,59 @@ fn serve_flag_validation_is_a_usage_error() {
         .output()
         .expect("run submit");
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn tcp_port_zero_logs_the_bound_port_and_shutdown_alone_drains() {
+    let dir = tmp_dir("tcp0");
+    let mut child = hotnoc()
+        .args(["serve", "--tcp", "127.0.0.1:0", "--spool"])
+        .arg(dir.join("spool"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    let mut log = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let daemon = Daemon(child);
+    let mut first = String::new();
+    log.read_line(&mut first).expect("read the listening line");
+    // "serve: listening on tcp:127.0.0.1:PORT (N threads, ...)"
+    let addr = first
+        .strip_prefix("serve: listening on tcp:")
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("unexpected log line: {first}"))
+        .to_string();
+    let port: u16 = addr
+        .rsplit(':')
+        .next()
+        .unwrap()
+        .parse()
+        .expect("numeric port");
+    assert_ne!(port, 0, "the log must show the resolved port: {first}");
+
+    // No traffic but the shutdown itself: the drain must still wake the
+    // blocked accept and let the daemon exit.
+    let down = hotnoc()
+        .args(["serve", "--shutdown", "--tcp", &addr])
+        .output()
+        .expect("run shutdown");
+    assert!(
+        down.status.success(),
+        "shutdown failed: {}",
+        String::from_utf8_lossy(&down.stderr)
+    );
+    let mut daemon = daemon;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("poll daemon") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon did not exit after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "daemon exited {status:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

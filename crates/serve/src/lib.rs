@@ -11,10 +11,10 @@
 //! * [`protocol`] — the wire protocol: request parsing (ping / shutdown /
 //!   submit), response rendering, and the [`protocol::Endpoint`] address
 //!   model shared by daemon and client.
-//! * [`server`] — [`server::serve`]: the accept loop, per-connection
-//!   protocol handler, the result cache keyed by
-//!   `(FNV-1a spec fingerprint, seed)`, the `hotnoc-serve-journal-v1`
-//!   persistence journal, and graceful drain.
+//! * [`server`] — [`server::serve`]: the blocking accept loop, the fixed
+//!   connection handler threads behind a bounded queue, the result cache
+//!   keyed by `(FNV-1a spec fingerprint, seed)`, the
+//!   `hotnoc-serve-journal-v1` persistence journal, and graceful drain.
 //! * [`client`] — [`client::request`] and friends: what `hotnoc submit`
 //!   and `hotnoc serve --shutdown` are built on.
 //!

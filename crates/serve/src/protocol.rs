@@ -7,7 +7,8 @@
 //! stream one `"job"` record per expanded scenario before their terminal
 //! summary line. Every response carries a `"status"` field following the
 //! CLI exit-code convention: `0` success, `1` runtime failure (with
-//! `"retryable": true` when a drain rejected the request), `2` bad input.
+//! `"retryable": true` when a drain or a full connection queue rejected
+//! the request), `2` bad input.
 //! The normative reference is `docs/SERVING.md`.
 
 use hotnoc_scenario::campaign::CampaignSpec;

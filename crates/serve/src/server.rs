@@ -1,7 +1,12 @@
-//! The daemon: listener, per-connection protocol loop, the shared
-//! `minipool`, the fingerprint result cache and its persistence journal.
+//! The daemon: listener, connection handlers, the shared `minipool`, the
+//! fingerprint result cache and its persistence journal.
 //!
-//! One thread per connection; each submission runs on the shared pool
+//! The main thread blocks in `accept` and hands each connection over a
+//! bounded queue (`QUEUE_DEPTH`) to a fixed set of long-lived handler
+//! threads; a full queue is answered with a retryable status-1 error at
+//! once. A `shutdown` request wakes the blocked `accept` by connecting to
+//! the daemon's own address, so nothing on the accept path polls or
+//! sleeps. Each submission runs on the shared pool
 //! ([`minipool::ThreadPool::scope`] is safe to enter concurrently from
 //! many threads — each scope's tasks carry their own completion latch).
 //! Computed scenario results are appended to the
@@ -25,14 +30,28 @@ use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Accept-loop poll interval (the drain flag is checked this often) and
-/// per-connection read timeout.
-const POLL: Duration = Duration::from_millis(50);
+/// Accepted connections waiting for a free handler thread. One more is
+/// answered with a retryable status-1 `busy` error and closed.
+const QUEUE_DEPTH: usize = 64;
+
+/// Longest request line (bytes, without its newline) a handler buffers.
+/// A longer one gets an anonymous status-2 error and the connection closes.
+const MAX_LINE: usize = 1 << 20;
+
+/// A connection that sends nothing for this long is closed, so idle
+/// clients cannot hold the fixed handler threads.
+const IDLE: Duration = Duration::from_secs(3);
+
+/// Handler read timeout: how often a handler waiting on a quiet connection
+/// checks the idle limit and the drain flag.
+const READ_TICK: Duration = Duration::from_millis(50);
 
 /// How the daemon runs.
 #[derive(Debug, Clone)]
@@ -40,7 +59,9 @@ pub struct ServeOptions {
     /// Where to listen.
     pub endpoint: Endpoint,
     /// Worker threads for the shared pool (>= 1; clamped to
-    /// [`minipool::MAX_WORKERS`]).
+    /// [`minipool::MAX_WORKERS`]). It also sets the number of connection
+    /// handler threads: the same count, but at least 2, so a ping or a
+    /// shutdown never waits behind a single long submission.
     pub threads: usize,
     /// Path of the `hotnoc-serve-journal-v1` result journal; `None`
     /// disables persistence (the cache is memory-only).
@@ -56,7 +77,9 @@ pub struct ServeOptions {
 /// What a drained daemon reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Submit requests received (hits + computes + failures + rejections).
+    /// Submit requests received (hits + computes + failures + drain
+    /// rejections). A connection turned away by a full queue is not
+    /// counted: its request was never read.
     pub requests: u64,
     /// Submissions computed by running jobs.
     pub computed: u64,
@@ -102,6 +125,9 @@ struct State {
     pool: minipool::ThreadPool,
     threads: usize,
     spool: PathBuf,
+    /// The bound address (a TCP port 0 resolved), which the drain connects
+    /// to once to wake the blocked `accept`.
+    local: Endpoint,
     cache: Mutex<Cache>,
     journal: Option<Mutex<File>>,
     events: Mutex<Vec<TraceEvent>>,
@@ -116,14 +142,15 @@ struct State {
 /// Binds the endpoint, warm-loads the journal into the result cache, then
 /// accepts connections until a `{"op": "shutdown"}` arrives. Draining
 /// lets in-flight jobs finish (and journal), rejects queued submissions
-/// with a retryable status-1 error, writes the serving trace, and removes
-/// a unix socket file on the way out.
+/// with a retryable status-1 error, joins every handler thread, writes
+/// the serving trace, and removes a unix socket file on the way out.
 ///
 /// # Errors
 ///
 /// Returns a [`ServeError`] for listener, journal or trace-file trouble.
 pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     let listener = Listener::bind(&opts.endpoint)?;
+    let local = listener.local_endpoint()?;
     let mut cache = Cache::new();
     let journal = match &opts.journal {
         Some(path) => Some(Mutex::new(open_journal(path, &mut cache)?)),
@@ -132,13 +159,14 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     let warm = cache.len();
     let pool = minipool::ThreadPool::new();
     let threads = opts.threads.clamp(1, minipool::MAX_WORKERS);
-    // The connection thread entering a scope helps drain it, so n-way
+    // The handler thread entering a scope helps drain it, so n-way
     // parallelism needs n - 1 workers (same sizing as the batch runner).
     pool.ensure_workers(threads.saturating_sub(1));
-    let state = Arc::new(State {
+    let state = State {
         pool,
         threads,
         spool: opts.spool.clone(),
+        local,
         cache: Mutex::new(cache),
         journal,
         events: Mutex::new(Vec::new()),
@@ -146,31 +174,24 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
         computed: AtomicU64::new(0),
         requests: AtomicU64::new(0),
         draining: AtomicBool::new(false),
-    });
+    };
     eprintln!(
         "serve: listening on {} ({} threads, {} journaled results warm)",
-        opts.endpoint, threads, warm
+        state.local, threads, warm
     );
 
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !state.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(stream) => {
-                let st = Arc::clone(&state);
-                conns.push(std::thread::spawn(move || handle_connection(stream, &st)));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) => return Err(ServeError::new(format!("accept on {}: {e}", opts.endpoint))),
+    let (queue, inbox) = sync_channel(QUEUE_DEPTH);
+    let inbox = Mutex::new(inbox);
+    // Leaving the scope joins every handler: each finishes its connection
+    // (in-flight jobs finish and journal), then serves what is still
+    // queued — submissions there are rejected as draining — and exits once
+    // the closed queue is empty.
+    std::thread::scope(|s| {
+        for _ in 0..threads.max(2) {
+            s.spawn(|| handle_queue(&inbox, &state));
         }
-        conns.retain(|h| !h.is_finished());
-    }
-    // Drain: stop accepting (dropping the listener also removes a unix
-    // socket file), then wait for every connection — in-flight jobs finish
-    // and journal; their connections reject whatever else was queued.
-    drop(listener);
-    for h in conns {
-        let _ = h.join();
-    }
+        accept_loop(listener, queue, &state)
+    })?;
     if let Some(path) = &opts.trace {
         let events = std::mem::take(&mut *lock(&state.events));
         std::fs::write(path, TraceDoc::new("serve", events).to_jsonl())
@@ -188,7 +209,46 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     Ok(summary)
 }
 
-/// A poisoned daemon lock only means some connection thread panicked
+/// Accepts connections until the daemon drains, queueing each for a
+/// handler. Returning drops the listener, which stops accepting (and
+/// removes a unix socket file), and the queue's sender, which lets the
+/// handlers exit once they have emptied it.
+fn accept_loop(
+    listener: Listener,
+    queue: SyncSender<Box<dyn Stream>>,
+    state: &State,
+) -> Result<(), ServeError> {
+    loop {
+        let stream = listener
+            .accept()
+            .map_err(|e| ServeError::new(format!("accept on {}: {e}", state.local)))?;
+        if state.draining.load(Ordering::SeqCst) {
+            // The drain's wake-up connection, or a client that lost the
+            // race with it: either way, dropped unserved.
+            return Ok(());
+        }
+        if let Err(TrySendError::Full(mut stream)) = queue.try_send(stream) {
+            // Every handler is busy and the queue is full: answer at once
+            // (anonymously, the request is never read) and close.
+            let _ = reply(stream.as_mut(), None, &error_fields(1, "busy", true));
+        }
+    }
+}
+
+/// One handler thread: serves queued connections one at a time until the
+/// accept loop has stopped and the queue is empty.
+fn handle_queue(inbox: &Mutex<Receiver<Box<dyn Stream>>>, state: &State) {
+    loop {
+        let next = lock(inbox).recv();
+        let Ok(stream) = next else {
+            return;
+        };
+        // A panicking submission costs its own connection, not the handler.
+        let _ = catch_unwind(AssertUnwindSafe(|| handle_connection(stream, state)));
+    }
+}
+
+/// A poisoned daemon lock only means some handler thread panicked
 /// mid-update of a statistic or the cache; the data is still coherent
 /// (every write is a single insert/push), so serving continues.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -217,34 +277,41 @@ impl Listener {
                 }
                 let l = UnixListener::bind(path)
                     .map_err(|e| ServeError::new(format!("bind unix:{}: {e}", path.display())))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| ServeError::new(format!("socket {}: {e}", path.display())))?;
                 Ok(Listener::Unix(l, path.clone()))
             }
             Endpoint::Tcp(addr) => {
                 let l = TcpListener::bind(addr.as_str())
                     .map_err(|e| ServeError::new(format!("bind tcp:{addr}: {e}")))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| ServeError::new(format!("socket tcp:{addr}: {e}")))?;
                 Ok(Listener::Tcp(l))
             }
         }
     }
 
-    /// Accepts one connection: blocking reads with a [`POLL`] timeout so
-    /// the handler can notice a drain while idle.
+    /// The address clients (and the drain wake-up) connect to: the socket
+    /// path, or the bound TCP address with a port 0 resolved.
+    fn local_endpoint(&self) -> Result<Endpoint, ServeError> {
+        match self {
+            Listener::Unix(_, path) => Ok(Endpoint::Unix(path.clone())),
+            Listener::Tcp(l) => l
+                .local_addr()
+                .map(|a| Endpoint::Tcp(a.to_string()))
+                .map_err(|e| ServeError::new(format!("socket tcp: {e}"))),
+        }
+    }
+
+    /// Blocks until a connection arrives. Its reads time out every
+    /// [`READ_TICK`] so the handler can enforce [`IDLE`] and notice a
+    /// drain while the client is quiet.
     fn accept(&self) -> std::io::Result<Box<dyn Stream>> {
         match self {
             Listener::Unix(l, _) => {
                 let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(POLL))?;
+                s.set_read_timeout(Some(READ_TICK))?;
                 Ok(Box::new(s))
             }
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(POLL))?;
+                s.set_read_timeout(Some(READ_TICK))?;
                 Ok(Box::new(s))
             }
         }
@@ -266,26 +333,44 @@ enum Flow {
 
 fn handle_connection(mut stream: Box<dyn Stream>, state: &State) {
     let mut buf: Vec<u8> = Vec::new();
+    let mut scanned = 0; // leading bytes of `buf` known to hold no newline
     let mut chunk = [0u8; 4096];
+    let mut active = Instant::now();
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&raw).trim().to_string();
-            if line.is_empty() {
+        match buf[scanned..].iter().position(|&b| b == b'\n') {
+            Some(at) if scanned + at <= MAX_LINE => {
+                let raw: Vec<u8> = buf.drain(..=scanned + at).collect();
+                scanned = 0;
+                let line = String::from_utf8_lossy(&raw).trim().to_string();
+                if line.is_empty() {
+                    continue;
+                }
+                match handle_line(&line, stream.as_mut(), state) {
+                    Ok(Flow::Continue) => active = Instant::now(),
+                    Ok(Flow::Close) | Err(_) => return,
+                }
                 continue;
             }
-            match handle_line(&line, stream.as_mut(), state) {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Close) | Err(_) => return,
+            None if buf.len() <= MAX_LINE => scanned = buf.len(),
+            _ => {
+                // Like an unparsable line: answer anonymously and close.
+                let error = format!("request line exceeds {MAX_LINE} bytes");
+                let _ = reply(stream.as_mut(), None, &error_fields(2, &error, false));
+                return;
             }
         }
         match stream.read(&mut chunk) {
             Ok(0) => return, // client hung up
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                active = Instant::now();
+            }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Idle poll point: a draining daemon closes quiet
-                // connections instead of waiting for the client.
-                if state.draining.load(Ordering::SeqCst) && buf.is_empty() {
+                // A quiet connection is closed once it has been silent for
+                // IDLE, or at once (between requests) when draining.
+                if active.elapsed() >= IDLE
+                    || (state.draining.load(Ordering::SeqCst) && buf.is_empty())
+                {
                     return;
                 }
             }
@@ -302,8 +387,7 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
             // answer (anonymously — no id can be trusted out of a broken
             // line) and drop the connection. The daemon stays up.
             let fields = error_fields(2, &format!("malformed request line: {e}"), false);
-            writeln!(out, "{}", response_line(None, &fields))?;
-            return out.flush().map(|()| Flow::Close);
+            return reply(out, None, &fields).map(|()| Flow::Close);
         }
     };
     // Echo the id even on shape errors, so clients can correlate them.
@@ -311,9 +395,7 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
     let request = match decode_request(&j) {
         Ok(r) => r,
         Err(e) => {
-            let fields = error_fields(2, &e, false);
-            writeln!(out, "{}", response_line(id.as_deref(), &fields))?;
-            return out.flush().map(|()| Flow::Continue);
+            return reply(out, id.as_deref(), &error_fields(2, &e, false)).map(|()| Flow::Continue);
         }
     };
     match request {
@@ -322,26 +404,28 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
                 ("status".to_string(), Json::int(0)),
                 ("pong".to_string(), Json::Bool(true)),
             ];
-            writeln!(out, "{}", response_line(id.as_deref(), &fields))?;
-            out.flush().map(|()| Flow::Continue)
+            reply(out, id.as_deref(), &fields).map(|()| Flow::Continue)
         }
         Request::Shutdown => {
             state.draining.store(true, Ordering::SeqCst);
             eprintln!("serve: shutdown requested, draining");
+            // Wake the accept loop, blocked until a connection arrives; it
+            // sees the flag and stops.
+            if let Err(e) = state.local.connect() {
+                eprintln!("serve: warning: drain wake-up on {}: {e}", state.local);
+            }
             let fields = vec![
                 ("status".to_string(), Json::int(0)),
                 ("draining".to_string(), Json::Bool(true)),
             ];
-            writeln!(out, "{}", response_line(id.as_deref(), &fields))?;
-            out.flush().map(|()| Flow::Continue)
+            reply(out, id.as_deref(), &fields).map(|()| Flow::Continue)
         }
         Request::Submit { id, submission } => {
             state.requests.fetch_add(1, Ordering::SeqCst);
             if state.draining.load(Ordering::SeqCst) {
                 // Queued behind a drain: clean, retryable rejection.
                 let fields = error_fields(1, "draining", true);
-                writeln!(out, "{}", response_line(Some(&id), &fields))?;
-                return out.flush().map(|()| Flow::Continue);
+                return reply(out, Some(&id), &fields).map(|()| Flow::Continue);
             }
             handle_submit(&id, *submission, out, state).map(|()| Flow::Continue)
         }
@@ -374,8 +458,7 @@ fn handle_submit(
                 }
                 Err(e) => {
                     let fields = error_fields(1, &format!("scenario failed: {e}"), false);
-                    writeln!(out, "{}", response_line(Some(id), &fields))?;
-                    return out.flush();
+                    return reply(out, Some(id), &fields);
                 }
             }
         }
@@ -395,8 +478,7 @@ fn handle_submit(
                 Ok(run) => campaign_entry(&spec.name, &key.0, &run),
                 Err(e) => {
                     let fields = error_fields(1, &format!("campaign failed: {e}"), false);
-                    writeln!(out, "{}", response_line(Some(id), &fields))?;
-                    return out.flush();
+                    return reply(out, Some(id), &fields);
                 }
             }
         }
@@ -455,6 +537,12 @@ fn campaign_entry(name: &str, fingerprint: &str, run: &CampaignRun) -> CacheEntr
         name: name.to_string(),
         lines,
     }
+}
+
+/// Writes one response line and flushes it.
+fn reply(out: &mut dyn Write, id: Option<&str>, fields: &[(String, Json)]) -> std::io::Result<()> {
+    writeln!(out, "{}", response_line(id, fields))?;
+    out.flush()
 }
 
 fn write_entry(out: &mut dyn Write, id: &str, entry: &CacheEntry) -> std::io::Result<()> {
@@ -584,6 +672,8 @@ mod tests {
     use super::*;
     use crate::client;
     use hotnoc_scenario::spec::ScenarioSpec;
+    use std::io::{BufRead, BufReader};
+    use std::os::unix::net::UnixStream;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -814,6 +904,182 @@ mod tests {
         let mut cache = Cache::new();
         let _file = open_journal(&journal, &mut cache).unwrap();
         assert!(cache.is_empty(), "non-canonical record must not be cached");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A raw client connection whose reads give up after a generous bound,
+    /// so a daemon that never answers fails the test instead of hanging it.
+    fn connect(endpoint: &Endpoint) -> BufReader<UnixStream> {
+        let Endpoint::Unix(path) = endpoint else {
+            panic!("tests listen on unix sockets");
+        };
+        let s = UnixStream::connect(path).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        BufReader::new(s)
+    }
+
+    fn send(conn: &mut BufReader<UnixStream>, line: &str) {
+        conn.get_mut()
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+    }
+
+    fn read_line(conn: &mut BufReader<UnixStream>) -> String {
+        let mut l = String::new();
+        conn.read_line(&mut l)
+            .expect("reply within the read timeout");
+        l.trim_end().to_string()
+    }
+
+    /// A held connection a handler is known to be serving: it answered a
+    /// ping and stays open.
+    fn hold_handler(endpoint: &Endpoint) -> BufReader<UnixStream> {
+        let mut conn = connect(endpoint);
+        send(&mut conn, r#"{"op": "ping"}"#);
+        assert!(read_line(&mut conn).contains("pong"));
+        conn
+    }
+
+    #[test]
+    fn overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
+        let dir = tmp_dir("longline");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        let mut conn = connect(&endpoint);
+        conn.get_mut().write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+        let reply = read_line(&mut conn);
+        assert_eq!(
+            reply,
+            format!(r#"{{"status": 2, "error": "request line exceeds {MAX_LINE} bytes"}}"#)
+        );
+        assert_eq!(read_line(&mut conn), "", "the connection must be closed");
+        client::ping(&endpoint).expect("daemon survives an overlong line");
+        client::shutdown(&endpoint).unwrap();
+        assert_eq!(handle.join().unwrap().unwrap().requests, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn idle_connections_cannot_starve_the_handlers() {
+        let dir = tmp_dir("idle");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        // start_daemon runs 2 pool threads, hence 2 handlers: hold both.
+        let mut idle: Vec<_> = (0..2).map(|_| hold_handler(&endpoint)).collect();
+        let spec = Json::parse(&scenario_text("idle", 5)).unwrap();
+        let t0 = Instant::now();
+        let mut conn = connect(&endpoint);
+        send(&mut conn, &client::submit_line("fresh", &spec));
+        let reply = read_line(&mut conn);
+        let waited = t0.elapsed();
+        assert!(
+            reply.contains(r#""status": 0"#) || reply.contains(r#""retryable": true"#),
+            "{reply}"
+        );
+        assert!(waited < IDLE + Duration::from_secs(5), "waited {waited:?}");
+        for conn in &mut idle {
+            assert_eq!(read_line(conn), "", "idle connection must be closed");
+        }
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn full_queue_answers_busy_retryable_at_once() {
+        let dir = tmp_dir("busy");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        let held: Vec<_> = (0..2).map(|_| hold_handler(&endpoint)).collect();
+        // Accepted in connect order: these fill the queue, the next is
+        // turned away without its request ever being read.
+        let queued: Vec<_> = (0..QUEUE_DEPTH).map(|_| connect(&endpoint)).collect();
+        let t0 = Instant::now();
+        let mut extra = connect(&endpoint);
+        assert_eq!(
+            read_line(&mut extra),
+            r#"{"status": 1, "error": "busy", "retryable": true}"#
+        );
+        assert!(t0.elapsed() < IDLE, "a full queue must answer at once");
+        assert_eq!(read_line(&mut extra), "", "the connection must be closed");
+        drop((held, queued));
+        client::shutdown(&endpoint).unwrap();
+        assert_eq!(handle.join().unwrap().unwrap().requests, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// 8 clients (4x the handlers) each submit their own fresh specs
+    /// interleaved with repeats of them: half on one pipelined connection,
+    /// half on a connection per request. Every reply must match a
+    /// sequential reference byte for byte.
+    #[test]
+    fn concurrent_clients_get_the_sequential_replies() {
+        const CLIENTS: usize = 8;
+        // (spec, fresh or repeat) per request, for every client.
+        const ORDER: [usize; 6] = [0, 1, 0, 2, 1, 2];
+        let requests: Vec<Vec<String>> = (0..CLIENTS)
+            .map(|c| {
+                ORDER
+                    .iter()
+                    .map(|&k| {
+                        let text = scenario_text(&format!("bat-{c}-{k}"), (100 + 3 * c + k) as u64);
+                        client::submit_line(&format!("c{c}-{k}"), &Json::parse(&text).unwrap())
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let dir = tmp_dir("battery-ref");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        let reference: Vec<Vec<String>> = requests
+            .iter()
+            .map(|lines| {
+                let replies: Vec<String> = lines
+                    .iter()
+                    .flat_map(|l| client::request(&endpoint, l).unwrap())
+                    .collect();
+                replies
+            })
+            .collect();
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = tmp_dir("battery");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        let replies: Vec<Vec<String>> = std::thread::scope(|s| {
+            let clients: Vec<_> = requests
+                .iter()
+                .enumerate()
+                .map(|(c, lines)| {
+                    let endpoint = &endpoint;
+                    s.spawn(move || {
+                        if c % 2 == 0 {
+                            let mut conn = connect(endpoint);
+                            send(&mut conn, &lines.join("\n"));
+                            lines.iter().map(|_| read_line(&mut conn)).collect()
+                        } else {
+                            lines
+                                .iter()
+                                .flat_map(|l| client::request(endpoint, l).unwrap())
+                                .collect()
+                        }
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        client::shutdown(&endpoint).unwrap();
+        let summary = handle.join().unwrap().unwrap();
+        for (c, (got, want)) in replies.iter().zip(&reference).enumerate() {
+            assert_eq!(got, want, "client {c}");
+        }
+        let n = (CLIENTS * ORDER.len()) as u64;
+        assert_eq!(
+            summary,
+            ServeSummary {
+                requests: n,
+                computed: n / 2,
+                cache_hits: n / 2,
+            }
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
