@@ -36,13 +36,10 @@ use hotnoc_scenario::builtin::{builtin, BUILTINS};
 use hotnoc_scenario::exhibits::{latency_load_curves, render_latency_load};
 use hotnoc_scenario::json::Json;
 use hotnoc_scenario::runner::{
-    campaign_json, run_campaign, summary_table, validate_campaign_json, CampaignDoc, RunnerOptions,
-    CAMPAIGN_SCHEMA,
+    campaign_json, run_campaign_with, summary_table, validate_campaign_json, CampaignDoc,
+    RunnerOptions, CAMPAIGN_SCHEMA,
 };
-use hotnoc_scenario::shard::{
-    merge_shards, run_campaign_shard, shard_summary, validate_shard_json, Shard, ShardDoc,
-    SHARD_SCHEMA,
-};
+use hotnoc_scenario::shard::{merge_shards, validate_shard_json, Shard, ShardDoc, SHARD_SCHEMA};
 use hotnoc_scenario::stats::{aggregate, aggregate_json};
 use hotnoc_scenario::tracefile::{profile_json, TraceDoc};
 use hotnoc_scenario::{diff_campaigns, run_scenario_traced, CampaignSpec, ScenarioSpec};
@@ -253,23 +250,26 @@ fn campaign_run(args: &[&str]) -> ExitCode {
         progress: !flags.has("--quiet"),
         trace_dir: flags.get("--trace-dir").map(PathBuf::from),
     };
-    if let Some(shard) = shard {
-        return campaign_run_shard(&spec, shard, &opts);
-    }
+    let total = spec.expand().len();
+    let (label, jobs) = match shard {
+        Some(s) => (
+            format!("{} shard {s}", spec.name),
+            format!("{} of {total}", s.stripe(total).len()),
+        ),
+        None => (spec.name.clone(), total.to_string()),
+    };
     eprintln!(
-        "campaign {}: {} jobs on {} thread(s), artifacts in {}",
-        spec.name,
-        spec.expand().len(),
+        "campaign {label}: {jobs} jobs on {} thread(s), artifacts in {}",
         opts.threads,
         opts.out_dir.display()
     );
-    match run_campaign(&spec, &opts) {
+    match run_campaign_with(&spec, shard, &opts, &minipool::ThreadPool::new()) {
         Ok(run) => {
             print!("{}", summary_table(&run));
             if run.resumed_jobs > 0 {
                 println!("resumed {} job(s) from the manifest", run.resumed_jobs);
             }
-            if run.is_complete() {
+            if run.is_complete() && shard.is_none() {
                 // The saturation-curve exhibit, when the campaign swept an
                 // offered-load axis.
                 if let Some(table) = render_latency_load(&latency_load_curves(&run.completed)) {
@@ -282,37 +282,7 @@ fn campaign_run(args: &[&str]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("hotnoc: campaign {} failed: {e}", spec.name);
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `--shard I/N` arm of `campaign run`: same engine, one stripe, its
-/// own journal, a shard artifact instead of the campaign artifact.
-fn campaign_run_shard(spec: &CampaignSpec, shard: Shard, opts: &RunnerOptions) -> ExitCode {
-    eprintln!(
-        "campaign {} shard {}: {} of {} jobs on {} thread(s), artifacts in {}",
-        spec.name,
-        shard,
-        shard.stripe(spec.expand().len()).len(),
-        spec.expand().len(),
-        opts.threads,
-        opts.out_dir.display()
-    );
-    match run_campaign_shard(spec, shard, opts) {
-        Ok(run) => {
-            print!("{}", shard_summary(&run));
-            if run.resumed_jobs > 0 {
-                println!("resumed {} job(s) from the manifest", run.resumed_jobs);
-            }
-            if let Some(path) = &run.json_path {
-                println!("[saved {}]", path.display());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("hotnoc: campaign {} shard {} failed: {e}", spec.name, shard);
+            eprintln!("hotnoc: campaign {label} failed: {e}");
             ExitCode::FAILURE
         }
     }

@@ -332,6 +332,49 @@ fn scenario_run_rejects_out_of_bounds_fault_as_bad_input() {
 }
 
 #[test]
+fn unpartitionable_custom_ldpc_chip_is_rejected_up_front() {
+    // A 16x16 chip needs 256 LDPC clusters, but the quick code has only
+    // 240 checks: validation must reject it (exit 2) before anything runs,
+    // never fail late with exit 1.
+    let dir = tmp_dir("ldpc-16x16");
+    let spec = dir.join("big.json");
+    let weights = vec!["1.0"; 256].join(", ");
+    std::fs::write(
+        &spec,
+        format!(
+            r#"{{
+  "name": "ldpc-16x16",
+  "chip": {{"custom": {{"mesh_side": 16, "tile_weights": [{weights}], "base_peak_celsius": 80.0}}}},
+  "workload": {{"kind": "ldpc"}},
+  "policy": {{"kind": "baseline"}},
+  "mode": "cosim",
+  "fidelity": "quick",
+  "seed": 1
+}}"#
+        ),
+    )
+    .unwrap();
+    let run = hotnoc()
+        .args(["scenario", "run", "--spec"])
+        .arg(&spec)
+        .output()
+        .expect("spawn");
+    assert_eq!(run.status.code(), Some(2), "stderr: {}", stderr(&run));
+    let err = stderr(&run);
+    assert!(err.contains("cannot partition"), "{err}");
+    // `submit` validates locally the same way, before any daemon is asked.
+    let submit = hotnoc()
+        .arg("submit")
+        .arg(&spec)
+        .arg("--socket")
+        .arg(dir.join("no-daemon.sock"))
+        .output()
+        .expect("spawn");
+    assert_eq!(submit.status.code(), Some(2), "stderr: {}", stderr(&submit));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn campaign_check_cross_validates_fault_axes() {
     // A campaign over the failed_routers axis runs end to end from a spec
     // file, and `check` catches an artifact whose fault axis was tampered

@@ -244,6 +244,13 @@ impl ChipSpec {
         }
     }
 
+    /// `(n, m)` of the LDPC code [`crate::Chip::build`] constructs for this
+    /// chip, without building it.
+    pub fn code_dims(&self) -> (usize, usize) {
+        let m = hotnoc_ldpc::LdpcCode::gallager_checks(self.code_n, self.wc, self.wr);
+        (self.code_n, m)
+    }
+
     /// Number of tiles (PEs).
     pub fn n_tiles(&self) -> usize {
         self.mesh_side * self.mesh_side

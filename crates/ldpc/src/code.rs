@@ -22,6 +22,12 @@ pub struct LdpcCode {
 }
 
 impl LdpcCode {
+    /// The check count `m` of [`LdpcCode::gallager`] with these
+    /// parameters (`wc` strips of `n / wr` checks), without building it.
+    pub fn gallager_checks(n: usize, wc: usize, wr: usize) -> usize {
+        n / wr * wc
+    }
+
     /// Constructs a (wc, wr)-regular Gallager code of block length `n`.
     ///
     /// The number of checks is `m = n * wc / wr`. A few random permutations
@@ -36,7 +42,7 @@ impl LdpcCode {
             return Err(LdpcError::InvalidCodeParams { n, wc, wr });
         }
         let checks_per_strip = n / wr;
-        let m = checks_per_strip * wc;
+        let m = Self::gallager_checks(n, wc, wr);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut h = SparseBinMatrix::new(m, n);
 

@@ -30,12 +30,15 @@
 //!   artifacts by group and reports ratio-of-medians with CI-overlap
 //!   verdicts — the `hotnoc campaign diff` A/B engine.
 //! * [`shard`] distributes a campaign across processes and hosts:
-//!   [`shard::run_campaign_shard`] executes a deterministic modulo stripe
-//!   of the expansion (same per-job seeds as an unsharded run, its own
-//!   kill/resume-safe journal) and emits a `hotnoc-campaign-shard-v1`
-//!   artifact; [`shard::merge_shards`] validates a shard set and
-//!   reassembles the exact single-host `CAMPAIGN_<name>.json` +
-//!   `.aggregate.json` bytes.
+//!   [`runner::run_campaign_with`] given a [`shard::Shard`] executes a
+//!   deterministic modulo stripe of the expansion (same per-job seeds as
+//!   an unsharded run, its own kill/resume-safe journal) and emits a
+//!   `hotnoc-campaign-shard-v1` artifact; [`shard::merge_shards`]
+//!   validates a shard set and reassembles the exact single-host
+//!   `CAMPAIGN_<name>.json` + `.aggregate.json` bytes.
+//! * [`journal`] is the append-only canonical-JSONL journal behind the
+//!   campaign manifests and the serving daemon's result journal: header
+//!   binding, skip-what-does-not-verify recovery, torn-tail truncation.
 //!
 //! The `hotnoc` CLI (`crates/cli`) fronts all of this from the shell.
 //! The normative schema reference for every emitted artifact lives in
@@ -71,6 +74,7 @@ pub mod campaign;
 pub mod diff;
 pub mod error;
 pub mod exhibits;
+pub mod journal;
 pub mod json;
 pub mod outcome;
 pub mod run;
@@ -85,8 +89,8 @@ pub use diff::{diff_campaigns, DiffReport, Verdict};
 pub use error::ScenarioError;
 pub use outcome::ScenarioOutcome;
 pub use run::{run_scenario, run_scenario_traced};
-pub use runner::{run_campaign, CampaignRun, JobRecord, RunnerOptions};
-pub use shard::{merge_shards, run_campaign_shard, MergedCampaign, Shard, ShardDoc, ShardRun};
+pub use runner::{run_campaign, run_campaign_with, CampaignRun, JobRecord, RunnerOptions};
+pub use shard::{merge_shards, MergedCampaign, Shard, ShardDoc};
 pub use spec::{ChipKind, Mode, Policy, ScenarioSpec, Workload};
 pub use stats::{GroupAggregate, GroupKey, SummaryStats};
 pub use tracefile::TraceDoc;

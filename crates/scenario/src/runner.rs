@@ -1,8 +1,9 @@
-//! The campaign runner: executes an expanded job list in parallel on
-//! `minipool`, journals every completed job to an on-disk manifest, resumes
-//! a killed campaign from that manifest without recomputing, and emits the
-//! machine-readable `CAMPAIGN_<name>.json` artifact plus a human summary
-//! table.
+//! The campaign runner: executes an expanded job list — or one shard's
+//! stripe of it ([`crate::shard`]) — in parallel on `minipool`, journals
+//! every completed job to an on-disk manifest, resumes a killed campaign
+//! from that manifest without recomputing, and emits the machine-readable
+//! `CAMPAIGN_<name>.json` artifact (or a shard artifact) plus a human
+//! summary table.
 //!
 //! # Determinism
 //!
@@ -16,10 +17,11 @@
 //!
 //! # Manifest format (`CAMPAIGN_<name>.manifest.jsonl`)
 //!
-//! Line 1 is a header binding the journal to one campaign fingerprint;
-//! every further line is one completed job. A truncated trailing line
-//! (killed mid-write) is ignored on resume; a header that does not match
-//! the campaign being run restarts the journal from scratch.
+//! A [`crate::journal`]: line 1 is a header binding the journal to one
+//! campaign fingerprint (and stripe); every further line is one completed
+//! job. On resume a torn trailing line (killed mid-write) is truncated
+//! away, a record that does not verify is recomputed, and a header that
+//! does not match the campaign being run restarts the journal from scratch.
 //!
 //! ```text
 //! {"schema": "hotnoc-campaign-manifest-v1", "name": ..., "fingerprint": ..., "jobs": N}
@@ -28,15 +30,16 @@
 
 use crate::campaign::CampaignSpec;
 use crate::error::ScenarioError;
+use crate::journal::{canonical_outcome, Journal, JournalError};
 use crate::json::Json;
 use crate::outcome::ScenarioOutcome;
 use crate::run::{run_scenario, run_scenario_traced_as_job};
+use crate::shard::{Shard, SHARD_SCHEMA};
 use crate::spec::ScenarioSpec;
 use crate::stats::{aggregate, aggregate_json, headline_metric};
 use crate::tracefile::TraceDoc;
 use hotnoc_obs::TraceEvent;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -98,15 +101,18 @@ pub struct JobRecord {
     pub outcome: ScenarioOutcome,
 }
 
-/// The state of a campaign after one `run_campaign` invocation.
+/// The state of a campaign (or of one shard of it) after one
+/// [`run_campaign_with`] invocation.
 #[derive(Debug)]
 pub struct CampaignRun {
     /// The campaign that ran.
     pub spec: CampaignSpec,
-    /// Completed jobs in index order (all of them when the run is
-    /// complete).
+    /// The stripe that ran; `None` for a whole run.
+    pub shard: Option<Shard>,
+    /// Completed jobs in (global) index order — all owned jobs when the
+    /// run is complete.
     pub completed: Vec<JobRecord>,
-    /// Total jobs in the expanded list.
+    /// Jobs this run owns: the whole expansion, or the shard's stripe.
     pub total_jobs: usize,
     /// Jobs recovered from the manifest instead of recomputed.
     pub resumed_jobs: usize,
@@ -114,21 +120,22 @@ pub struct CampaignRun {
     pub executed_jobs: usize,
     /// Path of the manifest journal.
     pub manifest_path: PathBuf,
-    /// Path of the emitted `CAMPAIGN_<name>.json`; `None` while the
-    /// campaign is still partial.
+    /// Path of the emitted `CAMPAIGN_<name>.json` (or, for a shard, the
+    /// `CAMPAIGN_<name>.shard-i-of-n.json` shard artifact); `None` while
+    /// the run is still partial.
     pub json_path: Option<PathBuf>,
     /// Path of the emitted `CAMPAIGN_<name>.aggregate.json` (seed-axis
     /// statistics, `hotnoc-campaign-aggregate-v1`); `None` while the
-    /// campaign is still partial.
+    /// campaign is still partial, and always for a shard.
     pub aggregate_path: Option<PathBuf>,
     /// Seed-axis group aggregates over `completed`, in first-appearance
     /// order (computed once; the summary table and the aggregate artifact
-    /// both read from here).
+    /// both read from here). Empty for a shard.
     pub groups: Vec<crate::stats::GroupAggregate>,
 }
 
 impl CampaignRun {
-    /// `true` once every job has a journaled outcome.
+    /// `true` once every owned job has a journaled outcome.
     pub fn is_complete(&self) -> bool {
         self.completed.len() == self.total_jobs
     }
@@ -145,185 +152,97 @@ pub fn run_campaign(
     spec: &CampaignSpec,
     opts: &RunnerOptions,
 ) -> Result<CampaignRun, ScenarioError> {
-    run_campaign_on(spec, opts, &minipool::ThreadPool::new())
+    run_campaign_with(spec, None, opts, &minipool::ThreadPool::new())
 }
 
-/// [`run_campaign`] on a caller-owned pool. A resident process (the serve
-/// daemon) keeps one warm pool across submissions instead of spinning up
-/// threads per campaign; `opts.threads` still bounds how many workers this
-/// run asks the pool to provide. Artifact bytes are identical either way.
+/// The campaign engine: runs (or resumes) the jobs a campaign invocation
+/// owns — the whole expansion, or `shard`'s stripe of it — on `pool`.
+///
+/// Already-journaled outcomes are recovered from a matching manifest
+/// (`CAMPAIGN_<name>.manifest.jsonl`, or
+/// `CAMPAIGN_<name>.shard-i-of-n.manifest.jsonl` whose header also binds
+/// the shard coordinates); the rest run in parallel and are journaled as
+/// each finishes (kill-safe). A complete whole run emits
+/// `CAMPAIGN_<name>.json` and `.aggregate.json`; a complete shard emits its
+/// `hotnoc-campaign-shard-v1` artifact. A resident process (the serve
+/// daemon) passes its warm pool; `opts.threads` still bounds how many
+/// workers this run asks the pool for. Artifact bytes are identical at any
+/// thread count, pool and resume history.
 ///
 /// # Errors
 ///
 /// As [`run_campaign`].
-pub fn run_campaign_on(
+pub fn run_campaign_with(
     spec: &CampaignSpec,
+    shard: Option<Shard>,
     opts: &RunnerOptions,
     pool: &minipool::ThreadPool,
 ) -> Result<CampaignRun, ScenarioError> {
     spec.validate().map_err(ScenarioError::Spec)?;
     let jobs = spec.expand();
-    let fingerprint = spec.fingerprint();
-    std::fs::create_dir_all(&opts.out_dir).map_err(|e| ScenarioError::io(&opts.out_dir, e))?;
-    let manifest_path = opts
-        .out_dir
-        .join(format!("CAMPAIGN_{}.manifest.jsonl", spec.name));
-    let json_path = opts.out_dir.join(format!("CAMPAIGN_{}.json", spec.name));
-    let aggregate_path = opts
-        .out_dir
-        .join(format!("CAMPAIGN_{}.aggregate.json", spec.name));
+    let work: Vec<usize> = match shard {
+        Some(s) => s.stripe(jobs.len()),
+        None => (0..jobs.len()).collect(),
+    };
+    let out_dir = &opts.out_dir;
+    std::fs::create_dir_all(out_dir).map_err(|e| ScenarioError::io(out_dir, e))?;
+    let stem = match shard {
+        Some(s) => format!("CAMPAIGN_{}.{}", spec.name, s.file_tag()),
+        None => format!("CAMPAIGN_{}", spec.name),
+    };
+    let manifest_path = out_dir.join(format!("{stem}.manifest.jsonl"));
+    let json_path = out_dir.join(format!("{stem}.json"));
+    let aggregate_path = shard
+        .is_none()
+        .then(|| out_dir.join(format!("{stem}.aggregate.json")));
 
     // Any pre-existing artifact is unproven from here on: the spec may have
     // changed under the same name, and this run may stop partway. Remove it
     // now and re-emit on completion, so artifact presence reliably signals
     // "this campaign, complete".
-    for stale in [&json_path, &aggregate_path] {
+    for stale in std::iter::once(&json_path).chain(&aggregate_path) {
         remove_stale(stale)?;
     }
 
-    let slice = JournalSlice {
-        jobs: &jobs,
-        work: (0..jobs.len()).collect(),
-        manifest_path,
-        header: Json::object(vec![
-            ("schema", Json::str(MANIFEST_SCHEMA)),
-            ("name", Json::Str(spec.name.clone())),
-            ("fingerprint", Json::Str(fingerprint)),
-            ("jobs", Json::int(jobs.len() as u64)),
-        ]),
-        shard: None,
-    };
-    let sliced = execute_journaled_on(&slice, opts, pool)?;
-
-    let completed: Vec<JobRecord> = sliced
-        .outcomes
-        .into_iter()
-        .map(|(index, outcome)| JobRecord {
-            index,
-            spec: jobs[index].clone(),
-            outcome,
+    // The header binds the journal to this (campaign, stripe): any drift —
+    // an edited spec (fingerprint), a different job count, other shard
+    // coordinates, a whole-run journal offered to a shard — restarts it
+    // instead of mixing results.
+    let mut header = vec![
+        ("schema", Json::str(MANIFEST_SCHEMA)),
+        ("name", Json::Str(spec.name.clone())),
+        ("fingerprint", Json::Str(spec.fingerprint())),
+        ("jobs", Json::int(jobs.len() as u64)),
+    ];
+    if let Some(s) = shard {
+        header.push(("shard", s.to_json()));
+    }
+    let header = Json::object(header);
+    let io = |e| ScenarioError::io(&manifest_path, e);
+    let recovered = (!opts.fresh).then(|| {
+        Journal::open(&manifest_path, &header, |j| {
+            // A journaled index outside the owned work (tampering, or a
+            // stray file) is ignored rather than trusted.
+            let index = j.get("job").and_then(Json::as_u64)? as usize;
+            let job = jobs
+                .get(index)
+                .filter(|_| work.binary_search(&index).is_ok())?;
+            if j.get("scenario").and_then(Json::as_str) != Some(job.name.as_str()) {
+                return None;
+            }
+            Some((index, canonical_outcome(j.get("outcome")?)?))
         })
-        .collect();
-
-    let groups = aggregate(&completed);
-    let mut run = CampaignRun {
-        spec: spec.clone(),
-        completed,
-        total_jobs: jobs.len(),
-        resumed_jobs: sliced.resumed_jobs,
-        executed_jobs: sliced.executed_jobs,
-        manifest_path: slice.manifest_path,
-        json_path: None,
-        aggregate_path: None,
-        groups,
+    });
+    let (journal, recovered) = match recovered {
+        Some(Ok(opened)) => opened,
+        Some(Err(JournalError::Io(e))) => return Err(io(e)),
+        None | Some(Err(JournalError::Mismatch)) => (
+            Journal::create(&manifest_path, &header).map_err(io)?,
+            Vec::new(),
+        ),
     };
-    if run.is_complete() {
-        std::fs::write(&json_path, campaign_json(spec, &run.completed))
-            .map_err(|e| ScenarioError::io(&json_path, e))?;
-        run.json_path = Some(json_path);
-        std::fs::write(&aggregate_path, aggregate_json(spec, &run.groups))
-            .map_err(|e| ScenarioError::io(&aggregate_path, e))?;
-        run.aggregate_path = Some(aggregate_path);
-    }
-    Ok(run)
-}
-
-/// Removes a possibly-present stale artifact.
-pub(crate) fn remove_stale(path: &Path) -> Result<(), ScenarioError> {
-    match std::fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(ScenarioError::io(path, e)),
-    }
-}
-
-/// One journaled execution slice: the subset of a campaign's expanded job
-/// list that an invocation owns, the journal it persists to, and the exact
-/// header line binding that journal to this (campaign, slice) pair. The
-/// whole-campaign runner and the shard runner ([`crate::shard`]) drive the
-/// same engine — a shard is "the same run, smaller work list, its own
-/// journal".
-pub(crate) struct JournalSlice<'a> {
-    /// The campaign's full expanded job list; `work` indices refer into it.
-    pub jobs: &'a [ScenarioSpec],
-    /// The job indices this run owns, strictly ascending (the modulo
-    /// stripe for shards, `0..jobs.len()` for a whole run).
-    pub work: Vec<usize>,
-    /// Path of the journal.
-    pub manifest_path: PathBuf,
-    /// The journal's header line. A resume recovers outcomes only from a
-    /// journal whose first line parses back to exactly this value, so any
-    /// drift — an edited spec (fingerprint), a different job count,
-    /// different shard coordinates — restarts the journal instead of
-    /// mixing results.
-    pub header: Json,
-    /// `(shard, shard_count)` when this slice is a shard stripe; traced
-    /// jobs then carry a [`TraceEvent::ShardProgress`] record keyed by
-    /// stripe position (never completion order).
-    pub shard: Option<(u64, u64)>,
-}
-
-/// What [`execute_journaled`] produced for its slice.
-pub(crate) struct SliceOutcome {
-    /// Completed outcomes by job index (journaled + freshly computed).
-    pub outcomes: BTreeMap<usize, ScenarioOutcome>,
-    /// Jobs recovered from the manifest instead of recomputed.
-    pub resumed_jobs: usize,
-    /// Jobs executed by this invocation.
-    pub executed_jobs: usize,
-}
-
-/// Runs (or resumes) one journaled slice of a campaign: recovers
-/// already-journaled outcomes from a matching manifest, executes the
-/// remaining work in parallel on `minipool`, and journals every completed
-/// job immediately (kill-safe).
-pub(crate) fn execute_journaled(
-    slice: &JournalSlice<'_>,
-    opts: &RunnerOptions,
-) -> Result<SliceOutcome, ScenarioError> {
-    execute_journaled_on(slice, opts, &minipool::ThreadPool::new())
-}
-
-/// [`execute_journaled`] on a caller-owned pool (see [`run_campaign_on`]).
-pub(crate) fn execute_journaled_on(
-    slice: &JournalSlice<'_>,
-    opts: &RunnerOptions,
-    pool: &minipool::ThreadPool,
-) -> Result<SliceOutcome, ScenarioError> {
-    let jobs = slice.jobs;
-    let manifest_path = &slice.manifest_path;
-
-    // Recover completed jobs from a matching manifest.
-    let mut recovered = Recovered::default();
-    if !opts.fresh {
-        recovered = read_manifest(slice);
-    }
-    let mut done = recovered.outcomes;
+    let mut done: BTreeMap<usize, ScenarioOutcome> = recovered.into_iter().collect();
     let resumed_jobs = done.len();
-
-    // (Re)open the journal: append to a matching one, start a fresh one
-    // otherwise (fresh run, fingerprint mismatch, or no manifest yet).
-    let mut file = if resumed_jobs > 0 {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(manifest_path)
-            .map_err(|e| ScenarioError::io(manifest_path, e))?;
-        if recovered.torn_tail {
-            // A kill mid-write left a partial final line. Terminate it so
-            // the first record this run appends starts on its own line
-            // instead of being fused onto the fragment (which would make
-            // that record unreadable to the *next* resume).
-            writeln!(f).map_err(|e| ScenarioError::io(manifest_path, e))?;
-        }
-        f
-    } else {
-        let mut f = std::fs::File::create(manifest_path)
-            .map_err(|e| ScenarioError::io(manifest_path, e))?;
-        writeln!(f, "{}", slice.header).map_err(|e| ScenarioError::io(manifest_path, e))?;
-        f
-    };
-    file.flush()
-        .map_err(|e| ScenarioError::io(manifest_path, e))?;
 
     if let Some(dir) = &opts.trace_dir {
         std::fs::create_dir_all(dir).map_err(|e| ScenarioError::io(dir, e))?;
@@ -331,8 +250,7 @@ pub(crate) fn execute_journaled_on(
 
     // The work list: every owned job without a journaled outcome,
     // optionally truncated to simulate an interrupt.
-    let mut pending: Vec<usize> = slice
-        .work
+    let mut pending: Vec<usize> = work
         .iter()
         .copied()
         .filter(|i| !done.contains_key(i))
@@ -347,7 +265,6 @@ pub(crate) fn execute_journaled_on(
     // by job index for deterministic assembly.
     let results: Mutex<Vec<Option<Result<ScenarioOutcome, String>>>> =
         Mutex::new(vec![None; jobs.len()]);
-    let manifest = Mutex::new(&mut file);
     let next = AtomicUsize::new(0);
     let finished = AtomicUsize::new(done.len());
     let started = Instant::now();
@@ -369,45 +286,38 @@ pub(crate) fn execute_journaled_on(
                         &started,
                         &last_beat,
                         finished.load(Ordering::Relaxed),
-                        slice.work.len(),
+                        work.len(),
                         resumed_jobs,
                     );
                 }
                 let job = &jobs[index];
-                match run_job(job, index, slice, opts.trace_dir.as_deref()) {
-                    Ok(outcome) => {
-                        let line = Json::object(vec![
-                            ("job", Json::int(index as u64)),
-                            ("scenario", Json::Str(job.name.clone())),
-                            ("outcome", outcome.to_json()),
-                        ]);
-                        {
-                            let mut f = manifest.lock().expect("manifest lock");
-                            // Journal failures are reported as job failures
-                            // below rather than killing the worker.
-                            let io = writeln!(f, "{line}").and_then(|()| f.flush());
-                            if let Err(e) = io {
-                                results.lock().expect("results lock")[index] =
-                                    Some(Err(format!("manifest write failed: {e}")));
-                                continue;
-                            }
-                        }
-                        let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
-                        if opts.progress {
-                            eprintln!(
-                                "[{n}/{}] {}: {}",
-                                slice.work.len(),
-                                job.name,
-                                outcome.summary()
-                            );
-                            heartbeat(&started, &last_beat, n, slice.work.len(), resumed_jobs);
-                        }
-                        results.lock().expect("results lock")[index] = Some(Ok(outcome));
+                let result = run_job(
+                    job,
+                    index,
+                    &spec.name,
+                    shard,
+                    &work,
+                    opts.trace_dir.as_deref(),
+                )
+                .and_then(|outcome| {
+                    let line = Json::object(vec![
+                        ("job", Json::int(index as u64)),
+                        ("scenario", Json::Str(job.name.clone())),
+                        ("outcome", outcome.to_json()),
+                    ]);
+                    // Journal failures are reported as job failures
+                    // below rather than killing the worker.
+                    journal
+                        .append(&line)
+                        .map_err(|e| format!("manifest write failed: {e}"))?;
+                    let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
+                    if opts.progress {
+                        eprintln!("[{n}/{}] {}: {}", work.len(), job.name, outcome.summary());
+                        heartbeat(&started, &last_beat, n, work.len(), resumed_jobs);
                     }
-                    Err(cause) => {
-                        results.lock().expect("results lock")[index] = Some(Err(cause));
-                    }
-                }
+                    Ok(outcome)
+                });
+                results.lock().expect("results lock")[index] = Some(result);
             });
         }
     });
@@ -431,11 +341,50 @@ pub(crate) fn execute_journaled_on(
         }
     }
 
-    Ok(SliceOutcome {
-        outcomes: done,
+    let completed: Vec<JobRecord> = done
+        .into_iter()
+        .map(|(index, outcome)| JobRecord {
+            index,
+            spec: jobs[index].clone(),
+            outcome,
+        })
+        .collect();
+    let mut run = CampaignRun {
+        spec: spec.clone(),
+        shard,
+        groups: if shard.is_none() {
+            aggregate(&completed)
+        } else {
+            Vec::new()
+        },
+        completed,
+        total_jobs: work.len(),
         resumed_jobs,
         executed_jobs,
-    })
+        manifest_path,
+        json_path: None,
+        aggregate_path: None,
+    };
+    if run.is_complete() {
+        let text = artifact_json(spec, shard.map(|s| (s, jobs.len())), &run.completed);
+        std::fs::write(&json_path, text).map_err(|e| ScenarioError::io(&json_path, e))?;
+        run.json_path = Some(json_path);
+        if let Some(path) = aggregate_path {
+            std::fs::write(&path, aggregate_json(spec, &run.groups))
+                .map_err(|e| ScenarioError::io(&path, e))?;
+            run.aggregate_path = Some(path);
+        }
+    }
+    Ok(run)
+}
+
+/// Removes a possibly-present stale artifact.
+fn remove_stale(path: &Path) -> Result<(), ScenarioError> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(ScenarioError::io(path, e)),
+    }
 }
 
 /// Executes one job, writing its deterministic event trace to
@@ -446,7 +395,9 @@ pub(crate) fn execute_journaled_on(
 fn run_job(
     job: &ScenarioSpec,
     index: usize,
-    slice: &JournalSlice<'_>,
+    campaign: &str,
+    shard: Option<Shard>,
+    work: &[usize],
     trace_dir: Option<&Path>,
 ) -> Result<ScenarioOutcome, String> {
     let Some(dir) = trace_dir else {
@@ -454,26 +405,21 @@ fn run_job(
     };
     let (outcome, mut events) =
         run_scenario_traced_as_job(job, index as u64).map_err(|e| e.to_string())?;
-    if let Some((shard, shard_count)) = slice.shard {
+    if let Some(shard) = shard {
         // Keyed by stripe position, not completion order, so sharded
         // traces stay byte-deterministic at any thread count.
-        let position = slice.work.binary_search(&index).unwrap_or(0) as u64;
+        let position = work.binary_search(&index).unwrap_or(0) as u64;
         events.insert(
             1,
             TraceEvent::ShardProgress {
                 cycle: 0,
-                shard,
-                shard_count,
+                shard: shard.index as u64,
+                shard_count: shard.count as u64,
                 position,
-                stripe_len: slice.work.len() as u64,
+                stripe_len: work.len() as u64,
             },
         );
     }
-    let campaign = slice
-        .header
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap_or("campaign");
     let path = dir.join(format!("TRACE_{campaign}.job{index}.jsonl"));
     std::fs::write(&path, TraceDoc::new(&job.name, events).to_jsonl())
         .map_err(|e| format!("trace write failed: {e}"))?;
@@ -541,103 +487,54 @@ fn eta_text(fresh: usize, elapsed_secs: f64, remaining: usize) -> String {
     format!("{:.0}s", elapsed_secs / fresh as f64 * remaining as f64)
 }
 
-/// What [`read_manifest`] recovered from a journal.
-#[derive(Debug, Default)]
-struct Recovered {
-    /// The journaled outcomes (empty when the header did not match).
-    outcomes: BTreeMap<usize, ScenarioOutcome>,
-    /// The file ends mid-line (killed during a write): the appender must
-    /// terminate the fragment before journaling anything new.
-    torn_tail: bool,
-}
-
-/// Reads a manifest journal, returning the outcomes whose header matches
-/// the slice's header exactly and whose job lines are well-formed,
-/// consistent with the expanded jobs, and owned by the slice. Malformed
-/// lines — including a truncated final line from a killed run — are
-/// skipped.
-fn read_manifest(slice: &JournalSlice<'_>) -> Recovered {
-    let mut out = Recovered::default();
-    let Ok(text) = std::fs::read_to_string(&slice.manifest_path) else {
-        return out;
-    };
-    let mut lines = text.lines();
-    // The header must parse back to *exactly* the header this run would
-    // write — schema, campaign name, fingerprint, job count, and (for
-    // shard journals) the shard coordinates. Any drift means the journal
-    // belongs to a different run and is restarted from scratch.
-    let header_ok = lines
-        .next()
-        .and_then(|h| Json::parse(h).ok())
-        .is_some_and(|h| h == slice.header);
-    if !header_ok {
-        return out;
-    }
-    out.torn_tail = !text.ends_with('\n');
-    for line in lines {
-        let Ok(j) = Json::parse(line) else {
-            continue;
-        };
-        let Some(index) = j.get("job").and_then(Json::as_u64).map(|i| i as usize) else {
-            continue;
-        };
-        // `work` is strictly ascending, so membership is a binary search;
-        // a journaled index outside the slice (tampering, or a stray file)
-        // is ignored rather than trusted.
-        if slice.work.binary_search(&index).is_err()
-            || j.get("scenario").and_then(Json::as_str) != Some(&slice.jobs[index].name)
-        {
-            continue;
-        }
-        let Some(raw) = j.get("outcome") else {
-            continue;
-        };
-        let Ok(outcome) = ScenarioOutcome::from_json(raw) else {
-            continue;
-        };
-        // Recover only records that re-serialize to exactly what was
-        // journaled. A record written by an older binary may decode
-        // leniently (e.g. traffic quantile fields defaulting to 0), and
-        // silently resuming it would break the "resumed artifact ==
-        // uninterrupted artifact" byte-identity guarantee — recompute the
-        // job instead.
-        if outcome.to_json() != *raw {
-            continue;
-        }
-        out.outcomes.insert(index, outcome);
-    }
-    out
-}
-
 /// Serializes a completed campaign to the `hotnoc-campaign-v1` document.
 /// Records embed both the scenario spec and the outcome, so the artifact is
 /// self-describing and reproducible.
 pub fn campaign_json(spec: &CampaignSpec, records: &[JobRecord]) -> String {
-    let doc = Json::object(vec![
-        ("schema", Json::str(CAMPAIGN_SCHEMA)),
+    artifact_json(spec, None, records)
+}
+
+/// Serializes a completed run: the `hotnoc-campaign-v1` document, or — given
+/// `(shard, jobs in the whole expansion)` — the `hotnoc-campaign-shard-v1`
+/// document. Shard records carry their *global* job indices and the same
+/// `{job, scenario, spec, outcome}` shape, so a merge is pure reassembly.
+fn artifact_json(
+    spec: &CampaignSpec,
+    shard: Option<(Shard, usize)>,
+    records: &[JobRecord],
+) -> String {
+    let schema = if shard.is_some() {
+        SHARD_SCHEMA
+    } else {
+        CAMPAIGN_SCHEMA
+    };
+    let mut fields = vec![
+        ("schema", Json::str(schema)),
         ("name", Json::Str(spec.name.clone())),
         ("seed", Json::int(spec.seed)),
         ("fingerprint", Json::Str(spec.fingerprint())),
-        ("spec", spec.to_json()),
-        ("jobs", Json::int(records.len() as u64)),
-        (
-            "results",
-            Json::Array(
-                records
-                    .iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("job", Json::int(r.index as u64)),
-                            ("scenario", Json::Str(r.spec.name.clone())),
-                            ("spec", r.spec.to_json()),
-                            ("outcome", r.outcome.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut text = doc.to_string();
+    ];
+    if let Some((shard, _)) = shard {
+        fields.push(("shard", shard.to_json()));
+    }
+    fields.push(("spec", spec.to_json()));
+    if let Some((_, total)) = shard {
+        fields.push(("total_jobs", Json::int(total as u64)));
+    }
+    fields.push(("jobs", Json::int(records.len() as u64)));
+    let results = records
+        .iter()
+        .map(|r| {
+            Json::object(vec![
+                ("job", Json::int(r.index as u64)),
+                ("scenario", Json::Str(r.spec.name.clone())),
+                ("spec", r.spec.to_json()),
+                ("outcome", r.outcome.to_json()),
+            ])
+        })
+        .collect();
+    fields.push(("results", Json::Array(results)));
+    let mut text = Json::object(fields).to_string();
     text.push('\n');
     text
 }
@@ -670,11 +567,20 @@ pub fn parse_campaign_document(text: &str) -> Result<CampaignDoc, String> {
 ///
 /// Returns a human-readable description of the first violation.
 pub fn validate_campaign_json(j: &Json) -> Result<CampaignDoc, String> {
+    let spec = validate_artifact_header(j, CAMPAIGN_SCHEMA)?;
+    let jobs = spec.expand();
+    let all: Vec<usize> = (0..jobs.len()).collect();
+    let records = validate_records(j, &jobs, &all, None)?;
+    Ok(CampaignDoc { spec, records })
+}
+
+/// The checks every campaign-family artifact shares: the schema tag, and
+/// top-level name, seed and fingerprint consistent with the embedded spec,
+/// which is returned.
+pub(crate) fn validate_artifact_header(j: &Json, want: &str) -> Result<CampaignSpec, String> {
     let schema = j.req_str("schema")?;
-    if schema != CAMPAIGN_SCHEMA {
-        return Err(format!(
-            "unknown schema {schema:?} (want {CAMPAIGN_SCHEMA:?})"
-        ));
+    if schema != want {
+        return Err(format!("unknown schema {schema:?} (want {want:?})"));
     }
     let spec = CampaignSpec::from_json(j.req("spec")?)?;
     if j.req_str("name")? != spec.name {
@@ -686,7 +592,19 @@ pub fn validate_campaign_json(j: &Json) -> Result<CampaignDoc, String> {
     if j.req_str("fingerprint")? != spec.fingerprint() {
         return Err("fingerprint does not match the embedded spec".into());
     }
-    let jobs = spec.expand();
+    Ok(spec)
+}
+
+/// Walks an artifact's `results`: they must be exactly the `expected` job
+/// indices (`0..n` for a campaign, the stripe for a shard), in order, with
+/// each record's spec and scenario name matching the campaign expansion
+/// `jobs`.
+pub(crate) fn validate_records(
+    j: &Json,
+    jobs: &[ScenarioSpec],
+    expected: &[usize],
+    shard: Option<Shard>,
+) -> Result<Vec<JobRecord>, String> {
     let declared = j.req_u64("jobs")? as usize;
     let results = j.req_array("results")?;
     if declared != results.len() {
@@ -695,28 +613,43 @@ pub fn validate_campaign_json(j: &Json) -> Result<CampaignDoc, String> {
             results.len()
         ));
     }
-    if results.len() != jobs.len() {
-        return Err(format!(
-            "campaign expands to {} jobs but the document records {}",
-            jobs.len(),
-            results.len()
-        ));
+    if results.len() != expected.len() {
+        return Err(match shard {
+            None => format!(
+                "campaign expands to {} jobs but the document records {}",
+                jobs.len(),
+                results.len()
+            ),
+            Some(shard) => format!(
+                "shard {shard} of {} jobs owns {} but the document records {}",
+                jobs.len(),
+                expected.len(),
+                results.len()
+            ),
+        });
     }
     let mut records = Vec::with_capacity(results.len());
-    for (i, rec) in results.iter().enumerate() {
+    for (i, (rec, &want)) in results.iter().zip(expected).enumerate() {
         let ctx = |e: String| format!("results[{i}]: {e}");
         let index = rec.req_u64("job").map_err(ctx)? as usize;
-        if index != i {
-            return Err(format!("results[{i}] is job {index} (order broken)"));
+        if index != want {
+            return Err(match shard {
+                None => format!("results[{i}] is job {index} (order broken)"),
+                Some(shard) => {
+                    format!(
+                        "results[{i}] is job {index} but shard {shard} expects job {want} there"
+                    )
+                }
+            });
         }
         let spec_i = ScenarioSpec::from_json(rec.req("spec").map_err(ctx)?).map_err(ctx)?;
-        if spec_i != jobs[i] {
+        if spec_i != jobs[index] {
             return Err(format!(
                 "results[{i}] spec does not match the campaign expansion ({})",
-                jobs[i].name
+                jobs[index].name
             ));
         }
-        if rec.req_str("scenario").map_err(ctx)? != jobs[i].name {
+        if rec.req_str("scenario").map_err(ctx)? != jobs[index].name {
             return Err(format!("results[{i}] scenario name mismatch"));
         }
         let outcome = ScenarioOutcome::from_json(rec.req("outcome").map_err(ctx)?).map_err(ctx)?;
@@ -726,20 +659,33 @@ pub fn validate_campaign_json(j: &Json) -> Result<CampaignDoc, String> {
             outcome,
         });
     }
-    Ok(CampaignDoc { spec, records })
+    Ok(records)
 }
 
-/// Renders the human summary table of a campaign run.
+/// Renders the human summary table of a campaign run. A shard run gets
+/// its own header line (stripe coordinates and the campaign total) and no
+/// group block: seed-axis groups span stripes.
 pub fn summary_table(run: &CampaignRun) -> String {
     let mut s = String::new();
-    s.push_str(&format!(
-        "campaign {} — {}/{} jobs ({} resumed, {} executed)\n",
-        run.spec.name,
-        run.completed.len(),
-        run.total_jobs,
-        run.resumed_jobs,
-        run.executed_jobs,
-    ));
+    match run.shard {
+        None => s.push_str(&format!(
+            "campaign {} — {}/{} jobs ({} resumed, {} executed)\n",
+            run.spec.name,
+            run.completed.len(),
+            run.total_jobs,
+            run.resumed_jobs,
+            run.executed_jobs,
+        )),
+        Some(shard) => s.push_str(&format!(
+            "campaign {} shard {shard} — {}/{} jobs ({} resumed, {} executed; campaign total {})\n",
+            run.spec.name,
+            run.completed.len(),
+            run.total_jobs,
+            run.resumed_jobs,
+            run.executed_jobs,
+            run.spec.expand().len(),
+        )),
+    }
     let name_w = run
         .completed
         .iter()
@@ -982,7 +928,7 @@ mod tests {
     #[test]
     fn resume_after_torn_tail_keeps_its_own_journal_readable() {
         // A kill mid-write leaves a partial final line; the next run must
-        // terminate that fragment before appending, or the record it
+        // remove that fragment before appending, or the record it
         // journals right after would fuse onto the fragment and be lost to
         // the *second* resume.
         let dir = tmp_dir("torn");
@@ -1187,8 +1133,9 @@ mod tests {
         let pool = minipool::ThreadPool::new();
         let d1 = tmp_dir("resident-a");
         let d2 = tmp_dir("resident-b");
-        let on = run_campaign_on(
+        let on = run_campaign_with(
             &spec,
+            None,
             &RunnerOptions {
                 threads: 2,
                 out_dir: d1.clone(),
@@ -1198,8 +1145,9 @@ mod tests {
         )
         .expect("resident pool run");
         // Second run on the *same* warm pool, different directory.
-        let again = run_campaign_on(
+        let again = run_campaign_with(
             &spec,
+            None,
             &RunnerOptions {
                 threads: 2,
                 out_dir: d2.clone(),

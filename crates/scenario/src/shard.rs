@@ -8,7 +8,8 @@
 //! keeps the per-job seed the unsharded run would derive
 //! ([`crate::campaign::derive_job_seed`] depends only on the campaign
 //! seed, the axis seed, and the job index, none of which sharding
-//! changes). Each shard journals to its own
+//! changes). [`crate::runner::run_campaign_with`] given a [`Shard`] runs
+//! that stripe: it journals to its own
 //! `CAMPAIGN_<name>.shard-i-of-n.manifest.jsonl` (same kill/resume
 //! guarantees as a whole run; the header additionally binds the shard
 //! coordinates) and emits a `hotnoc-campaign-shard-v1` artifact on
@@ -22,15 +23,9 @@
 //! `.aggregate.json` are byte-identical to a single-host whole run.
 
 use crate::campaign::CampaignSpec;
-use crate::error::ScenarioError;
 use crate::json::Json;
-use crate::outcome::ScenarioOutcome;
-use crate::runner::{
-    execute_journaled, remove_stale, JobRecord, JournalSlice, RunnerOptions, MANIFEST_SCHEMA,
-};
-use crate::spec::ScenarioSpec;
+use crate::runner::{validate_artifact_header, validate_records, JobRecord};
 use std::fmt;
-use std::path::PathBuf;
 
 /// Schema tag of the `CAMPAIGN_<name>.shard-i-of-n.json` artifact.
 pub const SHARD_SCHEMA: &str = "hotnoc-campaign-shard-v1";
@@ -112,158 +107,6 @@ impl fmt::Display for Shard {
     }
 }
 
-/// The state of a shard after one [`run_campaign_shard`] invocation.
-#[derive(Debug)]
-pub struct ShardRun {
-    /// The campaign the shard belongs to.
-    pub spec: CampaignSpec,
-    /// Which stripe ran.
-    pub shard: Shard,
-    /// Completed jobs of this stripe in (global) index order — all of
-    /// them when the shard is complete.
-    pub completed: Vec<JobRecord>,
-    /// Jobs in this stripe.
-    pub shard_jobs: usize,
-    /// Jobs in the whole campaign expansion.
-    pub total_jobs: usize,
-    /// Jobs recovered from the shard manifest instead of recomputed.
-    pub resumed_jobs: usize,
-    /// Jobs executed by this invocation.
-    pub executed_jobs: usize,
-    /// Path of the shard's manifest journal.
-    pub manifest_path: PathBuf,
-    /// Path of the emitted shard artifact; `None` while the shard is
-    /// still partial.
-    pub json_path: Option<PathBuf>,
-}
-
-impl ShardRun {
-    /// `true` once every job of the stripe has a journaled outcome.
-    pub fn is_complete(&self) -> bool {
-        self.completed.len() == self.shard_jobs
-    }
-}
-
-/// Runs (or resumes) one shard of a campaign. Same engine and guarantees
-/// as [`crate::runner::run_campaign`], restricted to the shard's stripe:
-/// kill-safe journaling to `CAMPAIGN_<name>.shard-i-of-n.manifest.jsonl`,
-/// byte-identical artifacts at any thread count and across kill/resume.
-///
-/// # Errors
-///
-/// Propagates spec validation failures, filesystem trouble and the first
-/// failing job (already-journaled sibling results survive for the next
-/// attempt).
-pub fn run_campaign_shard(
-    spec: &CampaignSpec,
-    shard: Shard,
-    opts: &RunnerOptions,
-) -> Result<ShardRun, ScenarioError> {
-    spec.validate().map_err(ScenarioError::Spec)?;
-    let jobs = spec.expand();
-    let fingerprint = spec.fingerprint();
-    std::fs::create_dir_all(&opts.out_dir).map_err(|e| ScenarioError::io(&opts.out_dir, e))?;
-    let tag = shard.file_tag();
-    let manifest_path = opts
-        .out_dir
-        .join(format!("CAMPAIGN_{}.{tag}.manifest.jsonl", spec.name));
-    let json_path = opts
-        .out_dir
-        .join(format!("CAMPAIGN_{}.{tag}.json", spec.name));
-    remove_stale(&json_path)?;
-
-    let slice = JournalSlice {
-        jobs: &jobs,
-        work: shard.stripe(jobs.len()),
-        manifest_path,
-        // The whole-run header plus the shard coordinates: a whole-run
-        // journal can never satisfy a shard resume (or vice versa), and a
-        // shard journal from different coordinates restarts cleanly.
-        header: Json::object(vec![
-            ("schema", Json::str(MANIFEST_SCHEMA)),
-            ("name", Json::Str(spec.name.clone())),
-            ("fingerprint", Json::Str(fingerprint)),
-            ("jobs", Json::int(jobs.len() as u64)),
-            ("shard", shard.to_json()),
-        ]),
-        shard: Some((shard.index as u64, shard.count as u64)),
-    };
-    let shard_jobs = slice.work.len();
-    let sliced = execute_journaled(&slice, opts)?;
-
-    let completed: Vec<JobRecord> = sliced
-        .outcomes
-        .into_iter()
-        .map(|(index, outcome)| JobRecord {
-            index,
-            spec: jobs[index].clone(),
-            outcome,
-        })
-        .collect();
-
-    let mut run = ShardRun {
-        spec: spec.clone(),
-        shard,
-        completed,
-        shard_jobs,
-        total_jobs: jobs.len(),
-        resumed_jobs: sliced.resumed_jobs,
-        executed_jobs: sliced.executed_jobs,
-        manifest_path: slice.manifest_path,
-        json_path: None,
-    };
-    if run.is_complete() {
-        std::fs::write(
-            &json_path,
-            shard_json(spec, shard, run.total_jobs, &run.completed),
-        )
-        .map_err(|e| ScenarioError::io(&json_path, e))?;
-        run.json_path = Some(json_path);
-    }
-    Ok(run)
-}
-
-/// Serializes a completed shard to the `hotnoc-campaign-shard-v1`
-/// document. Records carry their *global* job indices and the same
-/// `{job, scenario, spec, outcome}` shape as the campaign artifact, so a
-/// merge is pure reassembly.
-pub fn shard_json(
-    spec: &CampaignSpec,
-    shard: Shard,
-    total_jobs: usize,
-    records: &[JobRecord],
-) -> String {
-    let doc = Json::object(vec![
-        ("schema", Json::str(SHARD_SCHEMA)),
-        ("name", Json::Str(spec.name.clone())),
-        ("seed", Json::int(spec.seed)),
-        ("fingerprint", Json::Str(spec.fingerprint())),
-        ("shard", shard.to_json()),
-        ("spec", spec.to_json()),
-        ("total_jobs", Json::int(total_jobs as u64)),
-        ("jobs", Json::int(records.len() as u64)),
-        (
-            "results",
-            Json::Array(
-                records
-                    .iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("job", Json::int(r.index as u64)),
-                            ("scenario", Json::Str(r.spec.name.clone())),
-                            ("spec", r.spec.to_json()),
-                            ("outcome", r.outcome.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut text = doc.to_string();
-    text.push('\n');
-    text
-}
-
 /// A parsed-and-validated shard artifact.
 #[derive(Debug)]
 pub struct ShardDoc {
@@ -295,20 +138,7 @@ pub fn parse_shard_document(text: &str) -> Result<ShardDoc, String> {
 ///
 /// Returns a human-readable description of the first violation.
 pub fn validate_shard_json(j: &Json) -> Result<ShardDoc, String> {
-    let schema = j.req_str("schema")?;
-    if schema != SHARD_SCHEMA {
-        return Err(format!("unknown schema {schema:?} (want {SHARD_SCHEMA:?})"));
-    }
-    let spec = CampaignSpec::from_json(j.req("spec")?)?;
-    if j.req_str("name")? != spec.name {
-        return Err("top-level name differs from the embedded spec".into());
-    }
-    if j.req_u64("seed")? != spec.seed {
-        return Err("top-level seed differs from the embedded spec".into());
-    }
-    if j.req_str("fingerprint")? != spec.fingerprint() {
-        return Err("fingerprint does not match the embedded spec".into());
-    }
+    let spec = validate_artifact_header(j, SHARD_SCHEMA)?;
     let shard = Shard::from_json(j.req("shard")?)?;
     let jobs = spec.expand();
     if j.req_u64("total_jobs")? as usize != jobs.len() {
@@ -318,50 +148,7 @@ pub fn validate_shard_json(j: &Json) -> Result<ShardDoc, String> {
             jobs.len()
         ));
     }
-    let stripe = shard.stripe(jobs.len());
-    let declared = j.req_u64("jobs")? as usize;
-    let results = j.req_array("results")?;
-    if declared != results.len() {
-        return Err(format!(
-            "jobs field says {declared} but results has {} entries",
-            results.len()
-        ));
-    }
-    if results.len() != stripe.len() {
-        return Err(format!(
-            "shard {shard} of {} jobs owns {} but the document records {}",
-            jobs.len(),
-            stripe.len(),
-            results.len()
-        ));
-    }
-    let mut records = Vec::with_capacity(results.len());
-    for (i, rec) in results.iter().enumerate() {
-        let ctx = |e: String| format!("results[{i}]: {e}");
-        let index = rec.req_u64("job").map_err(ctx)? as usize;
-        if index != stripe[i] {
-            return Err(format!(
-                "results[{i}] is job {index} but shard {shard} expects job {} there",
-                stripe[i]
-            ));
-        }
-        let spec_i = ScenarioSpec::from_json(rec.req("spec").map_err(ctx)?).map_err(ctx)?;
-        if spec_i != jobs[index] {
-            return Err(format!(
-                "results[{i}] spec does not match the campaign expansion ({})",
-                jobs[index].name
-            ));
-        }
-        if rec.req_str("scenario").map_err(ctx)? != jobs[index].name {
-            return Err(format!("results[{i}] scenario name mismatch"));
-        }
-        let outcome = ScenarioOutcome::from_json(rec.req("outcome").map_err(ctx)?).map_err(ctx)?;
-        records.push(JobRecord {
-            index,
-            spec: spec_i,
-            outcome,
-        });
-    }
+    let records = validate_records(j, &jobs, &shard.stripe(jobs.len()), Some(shard))?;
     Ok(ShardDoc {
         spec,
         shard,
@@ -449,53 +236,19 @@ pub fn merge_shards(docs: Vec<ShardDoc>) -> Result<MergedCampaign, String> {
     Ok(MergedCampaign { spec, records })
 }
 
-/// Renders the human summary line-set of a shard run.
-pub fn shard_summary(run: &ShardRun) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "campaign {} shard {} — {}/{} jobs ({} resumed, {} executed; campaign total {})\n",
-        run.spec.name,
-        run.shard,
-        run.completed.len(),
-        run.shard_jobs,
-        run.resumed_jobs,
-        run.executed_jobs,
-        run.total_jobs,
-    ));
-    let name_w = run
-        .completed
-        .iter()
-        .map(|r| r.spec.name.len())
-        .max()
-        .unwrap_or(8)
-        .max(8);
-    s.push_str(&format!("{:>5}  {:<name_w$}  outcome\n", "job", "scenario"));
-    for r in &run.completed {
-        s.push_str(&format!(
-            "{:>5}  {:<name_w$}  {}\n",
-            r.index,
-            r.spec.name,
-            r.outcome.summary()
-        ));
-    }
-    if !run.is_complete() {
-        s.push_str(&format!(
-            "(partial: {} jobs still pending — re-run to resume from the manifest)\n",
-            run.shard_jobs - run.completed.len()
-        ));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::PolicyAxis;
-    use crate::runner::{campaign_json, run_campaign};
+    use crate::error::ScenarioError;
+    use crate::runner::{
+        campaign_json, run_campaign, run_campaign_with, CampaignRun, RunnerOptions,
+    };
     use crate::spec::{ChipKind, Mode, Workload};
     use crate::stats::{aggregate, aggregate_json};
     use hotnoc_core::configs::{ChipConfigId, Fidelity};
     use hotnoc_noc::TrafficPattern;
+    use std::path::PathBuf;
 
     fn tiny_campaign(name: &str) -> CampaignSpec {
         CampaignSpec {
@@ -527,6 +280,14 @@ mod tests {
             failed_links: vec![],
             seeds: vec![1, 2, 3],
         }
+    }
+
+    fn run_shard(
+        spec: &CampaignSpec,
+        shard: Shard,
+        opts: &RunnerOptions,
+    ) -> Result<CampaignRun, ScenarioError> {
+        run_campaign_with(spec, Some(shard), opts, &minipool::ThreadPool::new())
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -601,13 +362,13 @@ mod tests {
             };
             if index == 1 {
                 opts.max_jobs = Some(1);
-                let partial = run_campaign_shard(&spec, shard, &opts).expect("partial shard");
+                let partial = run_shard(&spec, shard, &opts).expect("partial shard");
                 assert!(!partial.is_complete());
                 assert!(partial.json_path.is_none());
                 opts.max_jobs = None;
                 opts.threads = 2;
             }
-            let run = run_campaign_shard(&spec, shard, &opts).expect("shard run");
+            let run = run_shard(&spec, shard, &opts).expect("shard run");
             assert!(run.is_complete());
             if index == 1 {
                 assert_eq!(run.resumed_jobs, 1);
@@ -632,7 +393,7 @@ mod tests {
         // legal (and required for merge cover).
         let spec = tiny_campaign("unit-shard-empty");
         let dir = tmp_dir("empty");
-        let run = run_campaign_shard(
+        let run = run_shard(
             &spec,
             Shard::new(7, 8).unwrap(),
             &RunnerOptions {
@@ -643,7 +404,7 @@ mod tests {
         )
         .expect("runs");
         assert!(run.is_complete());
-        assert_eq!(run.shard_jobs, 0);
+        assert_eq!(run.total_jobs, 0);
         let text = std::fs::read_to_string(run.json_path.as_ref().expect("artifact")).unwrap();
         let doc = parse_shard_document(&text).expect("validates");
         assert!(doc.records.is_empty());
@@ -656,7 +417,7 @@ mod tests {
         let dir = tmp_dir("reject");
         let mut docs = Vec::new();
         for index in 0..2 {
-            let run = run_campaign_shard(
+            let run = run_shard(
                 &spec,
                 Shard::new(index, 2).unwrap(),
                 &RunnerOptions {
@@ -683,7 +444,7 @@ mod tests {
         let mut other = tiny_campaign("unit-shard-reject");
         other.seeds = vec![1, 2];
         let other_dir = tmp_dir("reject-other");
-        let other_run = run_campaign_shard(
+        let other_run = run_shard(
             &other,
             Shard::new(1, 2).unwrap(),
             &RunnerOptions {
@@ -720,7 +481,7 @@ mod tests {
         let whole_manifest = dir.join("CAMPAIGN_unit-shard-isolate.manifest.jsonl");
         let shard_manifest = dir.join("CAMPAIGN_unit-shard-isolate.shard-0-of-2.manifest.jsonl");
         std::fs::copy(&whole_manifest, &shard_manifest).unwrap();
-        let run = run_campaign_shard(&spec, Shard::new(0, 2).unwrap(), &opts).expect("shard run");
+        let run = run_shard(&spec, Shard::new(0, 2).unwrap(), &opts).expect("shard run");
         assert_eq!(run.resumed_jobs, 0, "whole-run journal must be ignored");
         assert_eq!(run.executed_jobs, 3);
         let _ = std::fs::remove_dir_all(&dir);

@@ -527,6 +527,21 @@ impl ScenarioSpec {
         }
         self.chip.validate()?;
         self.workload.validate()?;
+        if self.workload == Workload::Ldpc {
+            // Chip construction splits the code into one cluster per tile,
+            // each holding at least one variable and one check node.
+            let chip = self.chip.to_chip_spec(self.fidelity);
+            let (n, m) = chip.code_dims();
+            if chip.n_tiles() > n.min(m) {
+                return Err(format!(
+                    "cannot partition the {} LDPC code (n = {n}, m = {m}) into {} clusters, \
+                     one per tile of the {side}x{side} mesh",
+                    fidelity_name(self.fidelity),
+                    chip.n_tiles(),
+                    side = chip.mesh_side
+                ));
+            }
+        }
         match &self.policy {
             Policy::Periodic { period_blocks, .. } | Policy::Adaptive { period_blocks } => {
                 if *period_blocks == 0 {
@@ -856,6 +871,35 @@ mod tests {
             cycles: 100,
         };
         assert!(bad.validate().is_err(), "hotspot off-mesh");
+    }
+
+    #[test]
+    fn ldpc_chip_must_partition_into_one_cluster_per_tile() {
+        let custom = |side: usize, fidelity| ScenarioSpec {
+            chip: ChipKind::Custom {
+                mesh_side: side,
+                tile_weights: vec![1.0; side * side],
+                base_peak_celsius: 80.0,
+            },
+            workload: Workload::Ldpc,
+            policy: Policy::Baseline,
+            fidelity,
+            ..cosim_spec()
+        };
+        // The quick code has 240 checks: 15x15 = 225 tiles fit, 16x16 and
+        // 24x24 do not; the full code (2160 checks) takes both.
+        assert!(custom(15, Fidelity::Quick).validate().is_ok());
+        for side in [16, 24] {
+            let err = custom(side, Fidelity::Quick).validate().unwrap_err();
+            assert!(err.contains("cannot partition"), "{err}");
+            assert!(custom(side, Fidelity::Full).validate().is_ok());
+        }
+        // Traffic workloads build no code.
+        let traffic = ScenarioSpec {
+            chip: custom(16, Fidelity::Quick).chip,
+            ..traffic_spec()
+        };
+        assert!(traffic.validate().is_ok());
     }
 
     #[test]

@@ -10,23 +10,23 @@
 //! ([`minipool::ThreadPool::scope`] is safe to enter concurrently from
 //! many threads — each scope's tasks carry their own completion latch).
 //! Computed scenario results are appended to the
-//! `hotnoc-serve-journal-v1` journal (one flushed line per result) and
-//! warm-loaded into the cache on the next start; campaign submissions
-//! persist through their own `run_campaign_on` manifests under the spool
-//! directory, so a restarted daemon resumes rather than recomputes them.
+//! `hotnoc-serve-journal-v1` [`hotnoc_scenario::journal`] (one flushed line
+//! per result) and warm-loaded into the cache on the next start; campaign
+//! submissions run on the campaign engine with their manifests under the
+//! spool directory, so a restarted daemon resumes rather than recomputes
+//! them.
 
 use crate::protocol::{
     decode_request, error_fields, response_line, Endpoint, Request, Stream, Submission,
     JOURNAL_SCHEMA,
 };
 use hotnoc_obs::TraceEvent;
+use hotnoc_scenario::journal::{canonical_outcome, Journal, JournalError};
 use hotnoc_scenario::json::Json;
 use hotnoc_scenario::run::run_scenario;
-use hotnoc_scenario::runner::{run_campaign_on, CampaignRun, RunnerOptions};
+use hotnoc_scenario::runner::{run_campaign_with, CampaignRun, RunnerOptions};
 use hotnoc_scenario::tracefile::TraceDoc;
-use hotnoc_scenario::ScenarioOutcome;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -69,8 +69,8 @@ pub struct ServeOptions {
     /// Where to write the `hotnoc-trace-v1` serving trace (cache-hit
     /// events) on shutdown; `None` skips it.
     pub trace: Option<PathBuf>,
-    /// Directory for campaign working state (one `run_campaign_on`
-    /// manifest + artifact subdirectory per campaign fingerprint).
+    /// Directory for campaign working state (one campaign manifest +
+    /// artifact subdirectory per campaign fingerprint).
     pub spool: PathBuf,
 }
 
@@ -129,7 +129,7 @@ struct State {
     /// to once to wake the blocked `accept`.
     local: Endpoint,
     cache: Mutex<Cache>,
-    journal: Option<Mutex<File>>,
+    journal: Option<Journal>,
     events: Mutex<Vec<TraceEvent>>,
     hits: AtomicU64,
     computed: AtomicU64,
@@ -153,7 +153,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     let local = listener.local_endpoint()?;
     let mut cache = Cache::new();
     let journal = match &opts.journal {
-        Some(path) => Some(Mutex::new(open_journal(path, &mut cache)?)),
+        Some(path) => Some(warm_load(path, &mut cache)?),
         None => None,
     };
     let warm = cache.len();
@@ -453,7 +453,18 @@ fn handle_submit(
             match result.expect("scope completed the spawned task") {
                 Ok(outcome) => {
                     let outcome = outcome.to_json();
-                    journal_result(state, &key, &spec.name, &outcome);
+                    if let Some(journal) = &state.journal {
+                        let line = Json::object(vec![
+                            ("fingerprint", Json::str(&key.0)),
+                            ("seed", Json::int(key.1)),
+                            ("scenario", Json::str(&spec.name)),
+                            ("outcome", outcome.clone()),
+                        ]);
+                        // Not fatal: the in-memory cache stays correct.
+                        if journal.append(&line).is_err() {
+                            eprintln!("serve: warning: journal append failed for {}", key.0);
+                        }
+                    }
                     scenario_entry(&spec.name, &key.0, outcome)
                 }
                 Err(e) => {
@@ -474,7 +485,7 @@ fn handle_submit(
                 progress: false,
                 trace_dir: None,
             };
-            match run_campaign_on(&spec, &opts, &state.pool) {
+            match run_campaign_with(&spec, None, &opts, &state.pool) {
                 Ok(run) => campaign_entry(&spec.name, &key.0, &run),
                 Err(e) => {
                     let fields = error_fields(1, &format!("campaign failed: {e}"), false);
@@ -552,119 +563,42 @@ fn write_entry(out: &mut dyn Write, id: &str, entry: &CacheEntry) -> std::io::Re
     out.flush()
 }
 
-/// Appends one computed scenario result to the journal: a single
-/// `writeln!` + flush under the journal lock, so a kill between records
-/// never leaves a torn line for the loader to skip. A write failure is
-/// logged, not fatal — the in-memory cache stays correct either way.
-fn journal_result(state: &State, key: &(String, u64), name: &str, outcome: &Json) {
-    let Some(journal) = &state.journal else {
-        return;
-    };
-    let line = Json::object(vec![
-        ("fingerprint", Json::str(&key.0)),
-        ("seed", Json::int(key.1)),
-        ("scenario", Json::str(name)),
-        ("outcome", outcome.clone()),
-    ]);
-    let mut f = lock(journal);
-    if writeln!(f, "{line}").and_then(|()| f.flush()).is_err() {
-        eprintln!("serve: warning: journal append failed for {}", key.0);
-    }
-}
-
 /// Opens (creating if absent) the journal and warm-loads its results into
-/// the cache. The tail is trusted only as far as it verifies: the first
-/// incomplete, unparsable or non-canonical line and everything after it
-/// are dropped and truncated away, so appends always extend a clean
-/// journal.
-fn open_journal(path: &Path, cache: &mut Cache) -> Result<File, ServeError> {
+/// the cache. Records that do not verify — unparsable, or an outcome that
+/// does not re-serialize to the exact bytes it was journaled as (the
+/// cached response must be byte-identical to the original computation's)
+/// — are skipped; a torn tail is truncated away. A file with any other
+/// header is refused.
+fn warm_load(path: &Path, cache: &mut Cache) -> Result<Journal, ServeError> {
     let err = |e: std::io::Error| ServeError::new(format!("journal {}: {e}", path.display()));
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(err)?;
         }
     }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(err(e)),
-    };
-    if text.is_empty() {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(err)?;
-        let header = Json::object(vec![("schema", Json::str(JOURNAL_SCHEMA))]);
-        writeln!(f, "{header}")
-            .and_then(|()| f.flush())
-            .map_err(err)?;
-        return Ok(f);
-    }
-    let mut good = 0usize; // bytes of the verified prefix
-    let mut first = true;
-    for line in text.split_inclusive('\n') {
-        let complete = line.ends_with('\n');
-        let trimmed = line.trim();
-        if first {
-            let schema = Json::parse(trimmed)
-                .ok()
-                .filter(|_| complete)
-                .and_then(|h| h.get("schema").and_then(Json::as_str).map(str::to_string));
-            if schema.as_deref() != Some(JOURNAL_SCHEMA) {
-                return Err(ServeError::new(format!(
-                    "journal {}: not a {JOURNAL_SCHEMA} file",
-                    path.display()
-                )));
+    let header = Json::object(vec![("schema", Json::str(JOURNAL_SCHEMA))]);
+    let opened = Journal::open(path, &header, |j| {
+        let fingerprint = j.get("fingerprint").and_then(Json::as_str)?;
+        let seed = j.get("seed").and_then(Json::as_u64)?;
+        let name = j.get("scenario").and_then(Json::as_str)?;
+        let raw = j.get("outcome")?;
+        canonical_outcome(raw)?;
+        let entry = scenario_entry(name, fingerprint, raw.clone());
+        Some(((fingerprint.to_string(), seed), entry))
+    });
+    match opened {
+        Ok((journal, records)) => {
+            for (key, entry) in records {
+                cache.insert(key, Arc::new(entry));
             }
-            good += line.len();
-            first = false;
-            continue;
+            Ok(journal)
         }
-        if !complete {
-            break; // torn tail from a kill mid-append
-        }
-        if trimmed.is_empty() {
-            good += line.len();
-            continue;
-        }
-        let Some((key, entry)) = Json::parse(trimmed)
-            .ok()
-            .and_then(|j| journal_entry(&j).ok())
-        else {
-            break;
-        };
-        cache.insert(key, Arc::new(entry));
-        good += line.len();
+        Err(JournalError::Mismatch) => Err(ServeError::new(format!(
+            "journal {}: not a {JOURNAL_SCHEMA} file",
+            path.display()
+        ))),
+        Err(JournalError::Io(e)) => Err(err(e)),
     }
-    if good < text.len() {
-        eprintln!(
-            "serve: journal {}: dropping {} unverified tail bytes",
-            path.display(),
-            text.len() - good
-        );
-        let f = OpenOptions::new().write(true).open(path).map_err(err)?;
-        f.set_len(good as u64).map_err(err)?;
-    }
-    OpenOptions::new().append(true).open(path).map_err(err)
-}
-
-/// Decodes one journal line into a cache entry, rejecting any outcome
-/// that does not re-serialize to the exact bytes it was journaled as —
-/// the cached response must be byte-identical to the original
-/// computation's.
-fn journal_entry(j: &Json) -> Result<((String, u64), CacheEntry), String> {
-    let fingerprint = j.req_str("fingerprint")?.to_string();
-    let seed = j.req_u64("seed")?;
-    let name = j.req_str("scenario")?.to_string();
-    let raw = j.req("outcome")?;
-    let outcome = ScenarioOutcome::from_json(raw)?;
-    let canonical = outcome.to_json();
-    if canonical != *raw {
-        return Err("outcome is not canonical".to_string());
-    }
-    let entry = scenario_entry(&name, &fingerprint, canonical);
-    Ok(((fingerprint, seed), entry))
 }
 
 #[cfg(test)]
@@ -877,7 +811,7 @@ mod tests {
         let journal = dir.join("serve.journal.jsonl");
         std::fs::write(&journal, "{\"schema\": \"hotnoc-campaign-v1\"}\n").unwrap();
         let mut cache = Cache::new();
-        let err = open_journal(&journal, &mut cache).unwrap_err();
+        let err = warm_load(&journal, &mut cache).unwrap_err();
         assert!(err.message.contains(JOURNAL_SCHEMA), "{}", err.message);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -888,8 +822,8 @@ mod tests {
         let journal = dir.join("serve.journal.jsonl");
         // A decodable record whose outcome is *not* canonical (fields out
         // of canonical order — "stall_us" before "phases"): the loader
-        // must stop trusting the journal there, because its cached bytes
-        // could not match what the computation originally streamed.
+        // must not cache it, because its cached bytes could not match
+        // what the computation originally streamed.
         let spec = ScenarioSpec::parse(&scenario_text("c", 1)).unwrap();
         let fp = spec.fingerprint();
         std::fs::write(
@@ -902,8 +836,124 @@ mod tests {
         )
         .unwrap();
         let mut cache = Cache::new();
-        let _file = open_journal(&journal, &mut cache).unwrap();
+        let _file = warm_load(&journal, &mut cache).unwrap();
         assert!(cache.is_empty(), "non-canonical record must not be cached");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_keeps_records_after_a_rejected_line() {
+        let dir = tmp_dir("rejected");
+        let journal = dir.join("serve.journal.jsonl");
+        let lines: Vec<String> = ["serve-r1", "serve-r2"]
+            .iter()
+            .map(|name| client::submit_line("rq", &Json::parse(&scenario_text(name, 4)).unwrap()))
+            .collect();
+        let (endpoint, handle) = start_daemon(&dir, true);
+        let first: Vec<Vec<String>> = lines
+            .iter()
+            .map(|l| client::request(&endpoint, l).unwrap())
+            .collect();
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
+
+        // Put a decodable but non-canonical record ("stall_us" before
+        // "phases") between the two good ones.
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let good: Vec<&str> = text.lines().collect();
+        assert_eq!(good.len(), 3, "header + 2 records: {text}");
+        let bad = "{\"fingerprint\": \"0000000000000000\", \"seed\": 1, \"scenario\": \"c\", \
+                   \"outcome\": {\"kind\": \"plan-cost\", \"stall_us\": 1.5, \"phases\": 1, \
+                   \"flit_hops\": 2, \"energy_uj\": 1.0, \"moves\": 3}}";
+        std::fs::write(
+            &journal,
+            format!("{}\n{}\n{bad}\n{}\n", good[0], good[1], good[2]),
+        )
+        .unwrap();
+
+        let (endpoint, handle) = start_daemon(&dir, true);
+        let later = client::request(&endpoint, &lines[1]).unwrap();
+        assert_eq!(later, first[1], "warm-loaded response must reproduce bytes");
+        client::shutdown(&endpoint).unwrap();
+        let summary = handle.join().unwrap().unwrap();
+        assert_eq!(
+            summary.computed, 0,
+            "the record after the bad line was lost"
+        );
+        assert_eq!(summary.cache_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn campaign_spool_manifest_is_resumed_not_recomputed() {
+        let campaign = r#"{
+  "schema": "hotnoc-campaign-spec-v1",
+  "name": "serve-spool",
+  "configs": [{"config": "A"}],
+  "workloads": [{"kind": "traffic", "pattern": "uniform", "rate": 0.05, "packet_len": 2, "cycles": 100}],
+  "policies": ["baseline"],
+  "fidelity": "quick",
+  "seeds": [1, 2, 3],
+  "seed": 5
+}"#;
+        let spec = hotnoc_scenario::CampaignSpec::parse(campaign).unwrap();
+        let line = client::submit_line("spool-1", &Json::parse(campaign).unwrap());
+
+        // Reference: a fresh daemon computes the whole campaign.
+        let fresh_dir = tmp_dir("spool-fresh");
+        let (endpoint, handle) = start_daemon(&fresh_dir, false);
+        let fresh = client::request(&endpoint, &line).unwrap();
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
+
+        // A daemon killed after one job left its manifest in the spool.
+        let dir = tmp_dir("spool-resume");
+        let spool = dir.join("spool").join(spec.fingerprint());
+        let partial = hotnoc_scenario::run_campaign(
+            &spec,
+            &RunnerOptions {
+                threads: 1,
+                out_dir: spool.clone(),
+                max_jobs: Some(1),
+                ..RunnerOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(partial.completed.len(), 1);
+        let journaled = std::fs::read_to_string(&partial.manifest_path).unwrap();
+
+        let (endpoint, handle) = start_daemon(&dir, false);
+        let resumed = client::request(&endpoint, &line).unwrap();
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
+        assert_eq!(
+            resumed, fresh,
+            "resumed response differs from a fresh daemon's"
+        );
+        // The manifest was extended by the two missing jobs, not restarted.
+        let manifest = std::fs::read_to_string(&partial.manifest_path).unwrap();
+        assert!(manifest.starts_with(&journaled), "{manifest}");
+        assert_eq!(manifest.lines().count(), 1 + 3, "{manifest}");
+        let _ = std::fs::remove_dir_all(&fresh_dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unrunnable_ldpc_chip_is_answered_as_bad_input() {
+        let dir = tmp_dir("unrunnable");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        let weights = vec!["1.0"; 256].join(", ");
+        let spec = format!(
+            r#"{{"name": "big", "chip": {{"custom": {{"mesh_side": 16, "tile_weights": [{weights}],
+            "base_peak_celsius": 80.0}}}}, "workload": {{"kind": "ldpc"}},
+            "policy": {{"kind": "baseline"}}, "mode": "cosim", "fidelity": "quick", "seed": 1}}"#
+        );
+        let line = client::submit_line("big-1", &Json::parse(&spec).unwrap());
+        let resp = client::request(&endpoint, &line).unwrap();
+        assert_eq!(client::response_status(&resp), 2, "{resp:?}");
+        assert!(resp[0].contains("cannot partition"), "{}", resp[0]);
+        client::shutdown(&endpoint).unwrap();
+        assert_eq!(handle.join().unwrap().unwrap().computed, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1000,7 +1050,16 @@ mod tests {
         assert!(t0.elapsed() < IDLE, "a full queue must answer at once");
         assert_eq!(read_line(&mut extra), "", "the connection must be closed");
         drop((held, queued));
-        client::shutdown(&endpoint).unwrap();
+        // The handlers empty the queue only after noticing the hang-ups; a
+        // shutdown sent before that is itself turned away as busy.
+        let admitted = (0..200).any(|_| {
+            let ack = client::shutdown(&endpoint).unwrap_or_default();
+            ack.contains("draining") || {
+                std::thread::sleep(Duration::from_millis(10));
+                false
+            }
+        });
+        assert!(admitted, "the daemon never admitted the shutdown");
         assert_eq!(handle.join().unwrap().unwrap().requests, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
