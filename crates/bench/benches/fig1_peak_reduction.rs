@@ -1,27 +1,15 @@
-//! Bench + regeneration harness for **Figure 1** (reduction in peak
-//! temperatures).
-//!
-//! Prints the reduced-fidelity figure once (the full-fidelity figure is
-//! regenerated by `cargo run --release -p hotnoc-bench --bin report_fig1`),
-//! then benchmarks the pipeline stages behind it: chip calibration, the
-//! orbit-average predictor, and one transient co-simulation run.
+//! Bench harness for **Figure 1** (reduction in peak temperatures): the
+//! pipeline stages behind it — chip calibration, the orbit-average
+//! predictor, and one transient co-simulation run. The figure itself comes
+//! from `hotnoc campaign run --builtin fig1 [--quick]`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hotnoc_core::chip::Chip;
 use hotnoc_core::configs::{ChipConfigId, ChipSpec, Fidelity};
 use hotnoc_core::cosim::{predicted_reduction, run_cosim, CosimParams};
-use hotnoc_core::experiment::run_fig1;
-use hotnoc_core::report::fig1_ascii;
 use hotnoc_reconfig::MigrationScheme;
 
-fn print_quick_figure() {
-    let table = run_fig1(Fidelity::Quick, &CosimParams::quick()).expect("fig1 quick run");
-    println!("\n[reduced fidelity] {}", fig1_ascii(&table));
-}
-
 fn bench_fig1(c: &mut Criterion) {
-    print_quick_figure();
-
     c.bench_function("fig1/chip_calibration_A", |b| {
         b.iter(|| {
             let mut chip =

@@ -1,28 +1,15 @@
-//! Bench + regeneration harness for the **§2.1–2.2 migration cost model**:
-//! congestion-free phased planning, deterministic stall times and
-//! state-transfer energy (the paper's "energy consumed during the migration
-//! operation" and rotation's "largest energy penalty").
+//! Bench harness for the **§2.1–2.2 migration cost model**: congestion-free
+//! phased planning and the per-tile state-transfer attribution behind the
+//! paper's "energy consumed during the migration operation". The cost
+//! tables themselves come from `hotnoc campaign run --builtin
+//! migration-cost [--quick]`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hotnoc_core::configs::{ChipConfigId, Fidelity};
-use hotnoc_core::cosim::CosimParams;
-use hotnoc_core::experiment::run_migration_cost;
-use hotnoc_core::report::migration_cost_ascii;
 use hotnoc_noc::Mesh;
 use hotnoc_reconfig::phases::PhaseCostModel;
 use hotnoc_reconfig::{MigrationPlan, MigrationScheme, StateSpec};
 
-fn print_cost_tables() {
-    for id in [ChipConfigId::A, ChipConfigId::E] {
-        let rows =
-            run_migration_cost(id, Fidelity::Quick, &CosimParams::quick()).expect("cost rows");
-        println!("\n[config {id}]\n{}", migration_cost_ascii(&rows));
-    }
-}
-
 fn bench_migration_cost(c: &mut Criterion) {
-    print_cost_tables();
-
     let mut group = c.benchmark_group("migration_cost/plan");
     for side in [4usize, 5, 8] {
         let mesh = Mesh::square(side).expect("valid mesh");

@@ -1,33 +1,15 @@
-//! Bench + regeneration harness for the **§3 migration-period sweep**
-//! (109.3 / 437.2 / 874.4 µs → 1.6 % / <0.4 % / <0.2 % throughput penalty).
-//!
-//! Prints the reduced-fidelity sweep once (full fidelity:
-//! `cargo run --release -p hotnoc-bench --bin report_period`), then
-//! benchmarks the co-simulation at the three period settings.
+//! Bench harness for the **§3 migration-period sweep** (109.3 / 437.2 /
+//! 874.4 µs → 1.6 % / <0.4 % / <0.2 % throughput penalty): the
+//! co-simulation at the three period settings. The table itself comes from
+//! `hotnoc campaign run --builtin period-sweep [--quick]`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hotnoc_core::chip::Chip;
 use hotnoc_core::configs::{ChipConfigId, ChipSpec, Fidelity};
 use hotnoc_core::cosim::{run_cosim, CosimParams};
-use hotnoc_core::experiment::run_period_sweep;
-use hotnoc_core::report::period_ascii;
 use hotnoc_reconfig::MigrationScheme;
 
-fn print_quick_sweep() {
-    let table = run_period_sweep(
-        ChipConfigId::A,
-        MigrationScheme::XYShift,
-        &[24, 96, 192],
-        Fidelity::Quick,
-        &CosimParams::quick(),
-    )
-    .expect("sweep");
-    println!("\n[reduced fidelity] {}", period_ascii(&table));
-}
-
 fn bench_period(c: &mut Criterion) {
-    print_quick_sweep();
-
     let mut chip = Chip::build(ChipSpec::of(ChipConfigId::A, Fidelity::Quick)).expect("build");
     let cal = chip.calibrate().expect("calibrate");
 

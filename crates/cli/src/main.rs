@@ -33,7 +33,7 @@
 
 use hotnoc_core::configs::Fidelity;
 use hotnoc_scenario::builtin::{builtin, BUILTINS};
-use hotnoc_scenario::exhibits::{latency_load_curves, render_latency_load};
+use hotnoc_scenario::exhibits;
 use hotnoc_scenario::json::Json;
 use hotnoc_scenario::runner::{
     campaign_json, run_campaign_with, summary_table, validate_campaign_json, CampaignDoc,
@@ -270,10 +270,18 @@ fn campaign_run(args: &[&str]) -> ExitCode {
                 println!("resumed {} job(s) from the manifest", run.resumed_jobs);
             }
             if run.is_complete() && shard.is_none() {
-                // The saturation-curve exhibit, when the campaign swept an
-                // offered-load axis.
-                if let Some(table) = render_latency_load(&latency_load_curves(&run.completed)) {
-                    print!("\n{table}");
+                // The exhibits the records determine (Figure 1, the period
+                // and migration-cost tables, latency-vs-load curves).
+                for exhibit in exhibits::render(&run.completed) {
+                    print!("\n{}", exhibit.text);
+                    if let Some((name, csv)) = exhibit.csv {
+                        let path = opts.out_dir.join(name);
+                        if let Err(e) = std::fs::write(&path, csv) {
+                            eprintln!("hotnoc: {}: {e}", path.display());
+                            return ExitCode::FAILURE;
+                        }
+                        println!("[saved {}]", path.display());
+                    }
                 }
             }
             for path in [&run.json_path, &run.aggregate_path].into_iter().flatten() {
@@ -564,7 +572,7 @@ fn scenario_run(args: &[&str]) -> ExitCode {
         hotnoc_obs::prof::set_enabled(true);
     }
     let result = if trace_path.is_some() {
-        run_scenario_traced(&spec).map(|(outcome, events)| (outcome, Some(events)))
+        run_scenario_traced(&spec, 0).map(|(outcome, events)| (outcome, Some(events)))
     } else {
         hotnoc_scenario::run_scenario(&spec).map(|outcome| (outcome, None))
     };

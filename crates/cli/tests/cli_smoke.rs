@@ -129,6 +129,81 @@ fn campaign_artifacts_are_identical_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The CSV exhibits a finished campaign saves next to its artifacts.
+fn exhibit_csvs(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read out dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with(".csv"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn campaign_run_saves_the_exhibits_its_records_determine() {
+    let dir = tmp_dir("exhibits");
+    let run = |builtin: &str, out_dir: &Path| {
+        hotnoc()
+            .args([
+                "campaign",
+                "run",
+                "--builtin",
+                builtin,
+                "--quick",
+                "--quiet",
+            ])
+            .arg("--out-dir")
+            .arg(out_dir)
+            .output()
+            .expect("spawn hotnoc")
+    };
+    let cost_dir = dir.join("cost");
+    let cost = run("migration-cost", &cost_dir);
+    assert!(cost.status.success(), "stderr: {}", stderr(&cost));
+    assert_eq!(
+        exhibit_csvs(&cost_dir),
+        ["migration_cost_A.csv", "migration_cost_E.csv"]
+    );
+    let csv = std::fs::read_to_string(cost_dir.join("migration_cost_A.csv")).unwrap();
+    assert!(
+        csv.starts_with("scheme,phases,stall_us,flit_hops,energy_uj,moves\nrot,3,5.220,30720,"),
+        "{csv}"
+    );
+    let text = stdout(&cost);
+    assert!(
+        text.contains("Migration cost — 4x4 chip (config A):"),
+        "{text}"
+    );
+    assert!(text.contains("(paper: rotation largest)"), "{text}");
+    assert!(text.contains("[saved "), "{text}");
+
+    // A CSV that cannot be written fails the run (exit 1), like any other
+    // artifact write; the jobs themselves resume from the manifest.
+    std::fs::remove_file(cost_dir.join("migration_cost_E.csv")).unwrap();
+    std::fs::create_dir(cost_dir.join("migration_cost_E.csv")).unwrap();
+    let blocked = run("migration-cost", &cost_dir);
+    assert_eq!(
+        blocked.status.code(),
+        Some(1),
+        "stderr: {}",
+        stderr(&blocked)
+    );
+    assert!(stderr(&blocked).contains("migration_cost_E.csv"));
+
+    let smoke_dir = dir.join("smoke");
+    let smoke = run("smoke", &smoke_dir);
+    assert!(smoke.status.success(), "stderr: {}", stderr(&smoke));
+    assert!(smoke_dir.join("CAMPAIGN_smoke.json").exists());
+    assert_eq!(exhibit_csvs(&smoke_dir), Vec::<String>::new());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn campaign_list_and_expand() {
     let list = hotnoc().args(["campaign", "list"]).output().expect("spawn");

@@ -114,6 +114,63 @@ impl CosimResult {
     }
 }
 
+/// The §2.1–2.2 cost of one migration event.
+#[derive(Debug, Clone)]
+pub struct MigrationCost {
+    /// The congestion-free phased plan.
+    pub plan: MigrationPlan,
+    /// Stall time: the PEs are halted for the whole plan, seconds.
+    pub stall_seconds: f64,
+    /// Energy of one migration event, joules: state-transfer flit-hops,
+    /// endpoint conversion/copy work, and the power the halted chip keeps
+    /// burning for the stall.
+    pub energy_j: f64,
+    /// The transfer part of the energy by tile, joules: hops on the tiles
+    /// whose routers forward the streams, conversion work on the endpoints.
+    pub per_tile_transfer_j: Vec<f64>,
+}
+
+/// Plans one migration of `chip` under `scheme` with the default
+/// [`StateSpec`] and [`PhaseCostModel`] and prices it, the stall burning
+/// `stall_power_fraction` of `dynamic_total` watts. The one place the
+/// migration-energy model lives: periodic and adaptive co-simulation,
+/// adaptive scheme selection and plan-cost scenarios all call it.
+pub fn migration_cost(
+    chip: &Chip,
+    scheme: MigrationScheme,
+    params: &CosimParams,
+    dynamic_total: f64,
+) -> MigrationCost {
+    let mesh = chip.mesh();
+    let plan = MigrationPlan::plan(
+        mesh,
+        scheme,
+        &StateSpec::default(),
+        &PhaseCostModel::default(),
+    );
+    let transfer = |flit_hops: u64, endpoint_flits: u64| {
+        flit_hops as f64 * params.e_flit_hop + endpoint_flits as f64 * params.e_convert_flit
+    };
+    let stall_seconds = plan.total_cycles() as f64 / chip.noc_config().clock_hz;
+    let per_tile_endpoints = plan.per_tile_endpoint_flits(mesh);
+    let energy_j = transfer(
+        plan.total_flit_hops(),
+        per_tile_endpoints.iter().sum::<u64>(),
+    ) + stall_seconds * params.stall_power_fraction * dynamic_total;
+    let per_tile_transfer_j = plan
+        .per_tile_flit_hops(mesh)
+        .iter()
+        .zip(&per_tile_endpoints)
+        .map(|(&h, &e)| transfer(h, e))
+        .collect();
+    MigrationCost {
+        plan,
+        stall_seconds,
+        energy_j,
+        per_tile_transfer_j,
+    }
+}
+
 /// Runs the co-simulation of `chip` under `scheme` (or the static baseline
 /// for `None`).
 ///
@@ -175,24 +232,14 @@ pub fn run_cosim_traced(
     };
 
     let mesh = chip.mesh();
-    let plan = MigrationPlan::plan(
-        mesh,
-        scheme,
-        &StateSpec::default(),
-        &PhaseCostModel::default(),
-    );
-    let stall_s = plan.total_cycles() as f64 / clock;
+    let MigrationCost {
+        plan,
+        stall_seconds: stall_s,
+        energy_j: migration_energy,
+        per_tile_transfer_j: per_tile_transfer,
+    } = migration_cost(chip, scheme, params, cal.total_dynamic);
     let period_s = cal.block_seconds * params.period_blocks as f64;
     let super_s = period_s + stall_s;
-    // Energy spent per migration event: state-transfer traffic, endpoint
-    // conversion/copy work, plus the clock/control power the halted chip
-    // keeps burning for the stall.
-    let per_tile_hops = plan.per_tile_flit_hops(mesh);
-    let per_tile_endpoints = plan.per_tile_endpoint_flits(mesh);
-    let transfer_energy = plan.total_flit_hops() as f64 * params.e_flit_hop
-        + per_tile_endpoints.iter().sum::<u64>() as f64 * params.e_convert_flit;
-    let migration_energy =
-        transfer_energy + stall_s * params.stall_power_fraction * cal.total_dynamic;
 
     // Power maps for every migration state (the permutation cycles with the
     // scheme's group order).
@@ -215,11 +262,6 @@ pub fn run_cosim_traced(
     // streams and on the endpoints doing the conversion/copy work. The
     // local component follows the permutation like the active map; the
     // transfer component is fixed in physical space (the plan's routes).
-    let per_tile_transfer: Vec<f64> = per_tile_hops
-        .iter()
-        .zip(&per_tile_endpoints)
-        .map(|(&h, &e)| h as f64 * params.e_flit_hop + e as f64 * params.e_convert_flit)
-        .collect();
     let mut stall_maps: Vec<Vec<f64>> = Vec::with_capacity(order);
     for m in &maps {
         let sm: Vec<f64> = m

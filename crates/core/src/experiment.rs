@@ -1,12 +1,13 @@
 //! The paper's experiments, packaged.
 //!
-//! * [`run_fig1`] — Figure 1: reduction in peak temperature for every
-//!   configuration under every migration scheme (plus the §3 averages).
-//! * [`run_period_sweep`] — the §3 in-text sweep over migration periods
-//!   (1, 4, 8 blocks ≈ 109.3, 437.2, 874.4 µs) trading throughput against
-//!   peak temperature.
-//! * [`run_migration_cost`] — the §2.2 migration cost model: phases, stall
-//!   time and energy per scheme.
+//! * The exhibit tables — [`Fig1Table`] (Figure 1), [`PeriodTable`] (the
+//!   §3 period sweep) and [`MigrationCostRow`] (the §2.1–2.2 migration
+//!   cost) — which `hotnoc_scenario::exhibits` fills from campaign records
+//!   and [`crate::report`] renders. The numbers come from the built-in
+//!   campaigns: `hotnoc campaign run --builtin fig1|period-sweep|migration-cost
+//!   [--quick]`.
+//! * [`run_placement_ablation`] — §2's worst-case argument: random
+//!   placements of the same workload leave more for migration to recover.
 //! * [`quick_demo`] — a seconds-fast end-to-end run for documentation and
 //!   smoke tests.
 
@@ -14,8 +15,7 @@ use crate::chip::Chip;
 use crate::configs::{ChipConfigId, ChipSpec, Fidelity};
 use crate::cosim::{run_cosim, CosimParams, CosimResult};
 use crate::error::CoreError;
-use hotnoc_reconfig::phases::PhaseCostModel;
-use hotnoc_reconfig::{MigrationPlan, MigrationScheme, StateSpec};
+use hotnoc_reconfig::MigrationScheme;
 use serde::{Deserialize, Serialize};
 
 /// One configuration's row of Figure 1.
@@ -66,29 +66,6 @@ impl Fig1Table {
     }
 }
 
-/// Regenerates Figure 1 at the chosen fidelity.
-///
-/// # Errors
-///
-/// Propagates chip construction, calibration and co-simulation failures.
-pub fn run_fig1(fidelity: Fidelity, params: &CosimParams) -> Result<Fig1Table, CoreError> {
-    let mut rows = Vec::new();
-    for id in ChipConfigId::ALL {
-        let mut chip = Chip::build(ChipSpec::of(id, fidelity))?;
-        let cal = chip.calibrate()?;
-        let mut results = Vec::new();
-        for scheme in MigrationScheme::FIGURE1 {
-            results.push(run_cosim(&chip, &cal, Some(scheme), params)?);
-        }
-        rows.push(Fig1Row {
-            config: id,
-            base_peak: results[0].base_peak,
-            results,
-        });
-    }
-    Ok(Fig1Table { rows })
-}
-
 /// One row of the migration-period sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PeriodRow {
@@ -115,43 +92,6 @@ pub struct PeriodTable {
     pub rows: Vec<PeriodRow>,
 }
 
-/// Runs the migration-period sweep (`periods` are in blocks; the paper uses
-/// 1, 4 and 8 blocks).
-///
-/// # Errors
-///
-/// Propagates chip construction, calibration and co-simulation failures.
-pub fn run_period_sweep(
-    id: ChipConfigId,
-    scheme: MigrationScheme,
-    periods: &[u64],
-    fidelity: Fidelity,
-    params: &CosimParams,
-) -> Result<PeriodTable, CoreError> {
-    let mut chip = Chip::build(ChipSpec::of(id, fidelity))?;
-    let cal = chip.calibrate()?;
-    let mut rows = Vec::new();
-    for &blocks in periods {
-        let p = CosimParams {
-            period_blocks: blocks,
-            ..*params
-        };
-        let r = run_cosim(&chip, &cal, Some(scheme), &p)?;
-        rows.push(PeriodRow {
-            period_blocks: blocks,
-            period_us: r.period_seconds * 1e6,
-            penalty_pct: r.throughput_penalty * 100.0,
-            peak: r.peak,
-            reduction: r.reduction,
-        });
-    }
-    Ok(PeriodTable {
-        config: id,
-        scheme,
-        rows,
-    })
-}
-
 /// Migration cost of one scheme on one chip.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigrationCostRow {
@@ -167,47 +107,6 @@ pub struct MigrationCostRow {
     pub energy_uj: f64,
     /// PEs moved.
     pub moves: usize,
-}
-
-/// Computes the migration cost table for one configuration.
-///
-/// # Errors
-///
-/// Propagates chip construction and calibration failures.
-pub fn run_migration_cost(
-    id: ChipConfigId,
-    fidelity: Fidelity,
-    params: &CosimParams,
-) -> Result<Vec<MigrationCostRow>, CoreError> {
-    let mut chip = Chip::build(ChipSpec::of(id, fidelity))?;
-    let cal = chip.calibrate()?;
-    let clock = chip.noc_config().clock_hz;
-    let mut rows = Vec::new();
-    for scheme in MigrationScheme::FIGURE1 {
-        let plan = MigrationPlan::plan(
-            chip.mesh(),
-            scheme,
-            &StateSpec::default(),
-            &PhaseCostModel::default(),
-        );
-        let stall_s = plan.total_cycles() as f64 / clock;
-        let energy = plan.total_flit_hops() as f64 * params.e_flit_hop
-            + plan
-                .per_tile_endpoint_flits(chip.mesh())
-                .iter()
-                .sum::<u64>() as f64
-                * params.e_convert_flit
-            + stall_s * params.stall_power_fraction * cal.total_dynamic;
-        rows.push(MigrationCostRow {
-            scheme,
-            phases: plan.num_phases(),
-            stall_us: stall_s * 1e6,
-            flit_hops: plan.total_flit_hops(),
-            energy_uj: energy * 1e6,
-            moves: plan.total_moves(),
-        });
-    }
-    Ok(rows)
 }
 
 /// One row of the placement ablation: how the placement quality of the
@@ -318,16 +217,21 @@ mod tests {
 
     #[test]
     fn migration_cost_rows_cover_all_schemes() {
-        let rows =
-            run_migration_cost(ChipConfigId::A, Fidelity::Quick, &CosimParams::quick()).unwrap();
+        let mut chip = Chip::build(ChipSpec::of(ChipConfigId::A, Fidelity::Quick)).unwrap();
+        let cal = chip.calibrate().unwrap();
+        let params = CosimParams::quick();
+        let rows: Vec<_> = MigrationScheme::FIGURE1
+            .iter()
+            .map(|&s| crate::cosim::migration_cost(&chip, s, &params, cal.total_dynamic))
+            .collect();
         assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|r| r.energy_uj > 0.0));
+        assert!(rows.iter().all(|r| r.energy_j > 0.0));
         // Rotation stalls longest (most phases) — the paper's "largest
         // energy penalty".
         let rot = &rows[0];
         let xys = &rows[4];
-        assert!(rot.stall_us > xys.stall_us);
-        assert!(rot.energy_uj > xys.energy_uj);
+        assert!(rot.stall_seconds > xys.stall_seconds);
+        assert!(rot.energy_j > xys.energy_j);
     }
 
     #[test]
@@ -366,21 +270,5 @@ mod tests {
             spread < 4.0,
             "post-migration peaks too spread: {final_peaks:?}"
         );
-    }
-
-    #[test]
-    fn period_sweep_penalty_decreases_with_period() {
-        let t = run_period_sweep(
-            ChipConfigId::A,
-            MigrationScheme::XYShift,
-            &[8, 32],
-            Fidelity::Quick,
-            &CosimParams::quick(),
-        )
-        .unwrap();
-        assert_eq!(t.rows.len(), 2);
-        assert!(t.rows[0].penalty_pct > t.rows[1].penalty_pct);
-        let ratio = t.rows[0].penalty_pct / t.rows[1].penalty_pct;
-        assert!((2.5..4.0).contains(&ratio), "penalty ratio {ratio} off");
     }
 }

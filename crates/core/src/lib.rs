@@ -13,9 +13,10 @@
 //!    migration (`hotnoc-reconfig`), including migration state-transfer
 //!    energy — "our simulations also include the energy consumed during the
 //!    migration operation".
-//! 4. [`experiment`] packages the paper's exhibits: Figure 1 (peak-
-//!    temperature reductions), the migration-period sweep, and the migration
-//!    cost table; [`report`] renders them.
+//! 4. [`experiment`] holds the paper's exhibit tables — Figure 1 (peak-
+//!    temperature reductions), the migration-period sweep and the migration
+//!    cost table — filled from campaign records by the scenario engine;
+//!    [`report`] renders them.
 //!
 //! ```no_run
 //! use hotnoc_core::configs::ChipConfigId;
@@ -40,5 +41,7 @@ pub mod report;
 pub use adaptive::{run_adaptive_cosim, run_adaptive_cosim_traced, AdaptiveResult};
 pub use chip::{CalibratedPower, Chip};
 pub use configs::{ChipConfigId, ChipSpec};
-pub use cosim::{run_cosim, run_cosim_traced, CosimParams, CosimResult};
+pub use cosim::{
+    migration_cost, run_cosim, run_cosim_traced, CosimParams, CosimResult, MigrationCost,
+};
 pub use error::CoreError;

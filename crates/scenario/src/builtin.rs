@@ -1,6 +1,7 @@
 //! Built-in named campaigns: the paper's exhibits and engineering sweeps,
-//! expressed as [`CampaignSpec`]s so the report binaries (and the CLI) are
-//! thin wrappers over the engine.
+//! expressed as [`CampaignSpec`]s. `hotnoc campaign run --builtin
+//! fig1|period-sweep|migration-cost [--quick]` regenerates the paper's
+//! tables: the run renders them through [`crate::exhibits::render`].
 
 use crate::campaign::{CampaignSpec, PolicyAxis};
 use crate::spec::{ChipKind, Mode, Workload};
@@ -16,7 +17,7 @@ pub const BUILTINS: &[(&str, &str)] = &[
     ),
     (
         "period-sweep",
-        "Sec. 3 period sweep: config A, X-Y shift, periods 1/4/8 blocks",
+        "Sec. 3 period sweep: config A, X-Y shift, periods 1/4/8 paper blocks",
     ),
     (
         "migration-cost",
@@ -54,7 +55,8 @@ fn all_configs() -> Vec<ChipKind> {
 /// The migration period (blocks) matching each fidelity's default cosim
 /// parameters: full-fidelity blocks are the paper's ~109 µs, quick blocks
 /// are much shorter so the period is raised to land near the same ~100 µs
-/// operating point (mirrors `CosimParams::quick`).
+/// operating point (mirrors `CosimParams::quick`). Period axes given in
+/// paper blocks scale by it.
 fn default_period(fidelity: Fidelity) -> u64 {
     match fidelity {
         Fidelity::Full => 1,
@@ -86,7 +88,10 @@ pub fn builtin(name: &str, fidelity: Fidelity) -> Option<CampaignSpec> {
         "period-sweep" => CampaignSpec {
             configs: vec![ChipKind::Config(ChipConfigId::A)],
             schemes: vec![MigrationScheme::XYShift],
-            periods: vec![1, 4, 8],
+            periods: [1, 4, 8]
+                .iter()
+                .map(|b| b * default_period(fidelity))
+                .collect(),
             ..base
         },
         "migration-cost" => CampaignSpec {

@@ -1,7 +1,10 @@
-//! Reassembles the paper's exhibit tables from campaign results, so the
-//! `report_*` binaries are thin wrappers over the engine: run (or resume) a
-//! built-in campaign, then project its records onto the legacy
-//! `hotnoc-core` table types for rendering.
+//! The paper's exhibits, rendered from campaign records. [`render`] is the
+//! one dispatch: `hotnoc campaign run` calls it when a whole run completes,
+//! prints every exhibit the records determine (Figure 1, the §3 period
+//! table, the §2.1–2.2 migration-cost tables, latency-vs-load curves) and
+//! saves each table's CSV next to the campaign artifacts. A cell that
+//! matches several records skips its exhibit rather than silently picking
+//! one. docs/CAMPAIGNS.md *Exhibits* lists which records render what.
 
 use crate::outcome::ScenarioOutcome;
 use crate::runner::JobRecord;
@@ -9,39 +12,97 @@ use crate::spec::{ChipKind, Policy, Workload};
 use crate::stats::{GroupKey, SummaryStats};
 use hotnoc_core::configs::ChipConfigId;
 use hotnoc_core::experiment::{Fig1Row, Fig1Table, MigrationCostRow, PeriodRow, PeriodTable};
+use hotnoc_core::report;
 use hotnoc_reconfig::MigrationScheme;
 use std::fmt::Write as _;
 
-/// The records of one chip configuration, in campaign order.
-fn records_of(records: &[JobRecord], id: ChipConfigId) -> Vec<&JobRecord> {
-    records
-        .iter()
-        .filter(|r| r.spec.chip == ChipKind::Config(id))
-        .collect()
+/// One rendered exhibit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Exhibit {
+    /// The table and its notes, as printed.
+    pub text: String,
+    /// `(file name, contents)` of the CSV saved next to the campaign
+    /// artifacts; `None` for a text-only exhibit.
+    pub csv: Option<(String, String)>,
 }
 
-/// Rebuilds the Figure 1 table from a `fig1`-shaped campaign (every config
-/// in [`ChipConfigId::ALL`] x every scheme in [`MigrationScheme::FIGURE1`],
-/// cosim outcomes).
+/// Every exhibit a complete campaign's records determine, in a fixed
+/// order: Figure 1, the period table, the migration-cost tables (configs
+/// in [`ChipConfigId::ALL`] order), the latency-vs-load curves.
+pub fn render(records: &[JobRecord]) -> Vec<Exhibit> {
+    let mut out = Vec::new();
+    if let Ok(table) = fig1_table(records) {
+        out.push(Exhibit {
+            text: fig1_text(&table),
+            csv: Some(("fig1.csv".to_string(), report::fig1_csv(&table))),
+        });
+    }
+    if let Ok(table) = period_table(records) {
+        out.push(Exhibit {
+            text: period_text(&table),
+            csv: Some(("period_sweep.csv".to_string(), report::period_csv(&table))),
+        });
+    }
+    for id in ChipConfigId::ALL {
+        if let Ok(rows) = migration_cost_rows(records, id) {
+            out.push(Exhibit {
+                text: migration_cost_text(id, &rows),
+                csv: Some((
+                    format!("migration_cost_{id}.csv"),
+                    report::migration_cost_csv(&rows),
+                )),
+            });
+        }
+    }
+    if let Some(text) = render_latency_load(&latency_load_curves(records)) {
+        out.push(Exhibit { text, csv: None });
+    }
+    out
+}
+
+/// The outcome of the one periodic record of config `id` under `scheme`
+/// that `pick` accepts.
 ///
 /// # Errors
 ///
-/// Reports the first missing (config, scheme) cell or non-cosim outcome.
+/// Reports a cell with no such record, or with several.
+fn cell<'a, T>(
+    records: &'a [JobRecord],
+    id: ChipConfigId,
+    scheme: MigrationScheme,
+    pick: impl Fn(&'a ScenarioOutcome) -> Option<&'a T>,
+) -> Result<&'a T, String> {
+    let mut found = records.iter().filter_map(|r| match r.spec.policy {
+        Policy::Periodic { scheme: s, .. }
+            if s == scheme && r.spec.chip == ChipKind::Config(id) =>
+        {
+            pick(&r.outcome)
+        }
+        _ => None,
+    });
+    match (found.next(), found.next()) {
+        (Some(m), None) => Ok(m),
+        (None, _) => Err(format!("no record for config {id}, scheme {scheme}")),
+        (Some(_), Some(_)) => Err(format!("several records for config {id}, scheme {scheme}")),
+    }
+}
+
+/// Rebuilds the Figure 1 table from a `fig1`-shaped campaign: one periodic
+/// cosim record for every config in [`ChipConfigId::ALL`] x every scheme
+/// in [`MigrationScheme::FIGURE1`].
+///
+/// # Errors
+///
+/// Reports the first (config, scheme) cell with no or several records.
 pub fn fig1_table(records: &[JobRecord]) -> Result<Fig1Table, String> {
     let mut rows = Vec::new();
     for id in ChipConfigId::ALL {
-        let of_config = records_of(records, id);
         let mut results = Vec::new();
         for scheme in MigrationScheme::FIGURE1 {
-            let rec = of_config
-                .iter()
-                .find(
-                    |r| matches!(r.spec.policy, Policy::Periodic { scheme: s, .. } if s == scheme),
-                )
-                .ok_or_else(|| format!("no record for config {id}, scheme {scheme}"))?;
-            let ScenarioOutcome::Cosim(m) = &rec.outcome else {
-                return Err(format!("record {} is not a cosim outcome", rec.spec.name));
-            };
+            let m = cell(records, id, scheme, |o| match o {
+                ScenarioOutcome::Cosim(m) => Some(m),
+                _ => None,
+            })?;
             results.push(m.to_cosim_result(Some(scheme)));
         }
         rows.push(Fig1Row {
@@ -53,50 +114,56 @@ pub fn fig1_table(records: &[JobRecord]) -> Result<Fig1Table, String> {
     Ok(Fig1Table { rows })
 }
 
-/// Rebuilds the §3 period-sweep table for one config and scheme from a
-/// `period-sweep`-shaped campaign. Rows come out in campaign (axis) order.
+/// Rebuilds the §3 period-sweep table from a `period-sweep`-shaped
+/// campaign: every periodic cosim record on one config under one scheme,
+/// one record per period, at least two periods. Rows come out in campaign
+/// (axis) order.
 ///
 /// # Errors
 ///
-/// Reports a missing config or non-cosim outcomes.
-pub fn period_table(
-    records: &[JobRecord],
-    id: ChipConfigId,
-    scheme: MigrationScheme,
-) -> Result<PeriodTable, String> {
-    let mut rows = Vec::new();
-    for rec in records_of(records, id) {
-        let Policy::Periodic {
-            scheme: s,
-            period_blocks,
-        } = rec.spec.policy
+/// Reports records that do not form one such sweep.
+pub fn period_table(records: &[JobRecord]) -> Result<PeriodTable, String> {
+    let mut sweep: Option<(ChipConfigId, MigrationScheme)> = None;
+    let mut rows: Vec<PeriodRow> = Vec::new();
+    for rec in records {
+        let (
+            Policy::Periodic {
+                scheme,
+                period_blocks,
+            },
+            ScenarioOutcome::Cosim(m),
+        ) = (&rec.spec.policy, &rec.outcome)
         else {
             continue;
         };
-        if s != scheme {
-            continue;
-        }
-        let ScenarioOutcome::Cosim(m) = &rec.outcome else {
-            return Err(format!("record {} is not a cosim outcome", rec.spec.name));
+        let ChipKind::Config(id) = rec.spec.chip else {
+            return Err(format!(
+                "record {} is not on a configuration",
+                rec.spec.name
+            ));
         };
+        if *sweep.get_or_insert((id, *scheme)) != (id, *scheme) {
+            return Err("periodic records span several configs or schemes".to_string());
+        }
+        if rows.iter().any(|r| r.period_blocks == *period_blocks) {
+            return Err(format!("several records for period {period_blocks}"));
+        }
         rows.push(PeriodRow {
-            period_blocks,
+            period_blocks: *period_blocks,
             period_us: m.period_seconds * 1e6,
             penalty_pct: m.throughput_penalty * 100.0,
             peak: m.peak,
             reduction: m.reduction,
         });
     }
-    if rows.is_empty() {
-        return Err(format!(
-            "no periodic records for config {id} under {scheme}"
-        ));
+    match sweep {
+        Some((config, scheme)) if rows.len() >= 2 => Ok(PeriodTable {
+            config,
+            scheme,
+            rows,
+        }),
+        _ => Err("fewer than two periods".to_string()),
     }
-    Ok(PeriodTable {
-        config: id,
-        scheme,
-        rows,
-    })
 }
 
 /// Rebuilds the §2.1–2.2 migration-cost table for one config from a
@@ -105,34 +172,103 @@ pub fn period_table(
 ///
 /// # Errors
 ///
-/// Reports the first missing scheme or non-plan-cost outcome.
+/// Reports the first scheme with no or several plan-cost records.
 pub fn migration_cost_rows(
     records: &[JobRecord],
     id: ChipConfigId,
 ) -> Result<Vec<MigrationCostRow>, String> {
-    let of_config = records_of(records, id);
-    let mut rows = Vec::new();
-    for scheme in MigrationScheme::FIGURE1 {
-        let rec = of_config
-            .iter()
-            .find(|r| matches!(r.spec.policy, Policy::Periodic { scheme: s, .. } if s == scheme))
-            .ok_or_else(|| format!("no record for config {id}, scheme {scheme}"))?;
-        let ScenarioOutcome::PlanCost(m) = &rec.outcome else {
-            return Err(format!(
-                "record {} is not a plan-cost outcome",
-                rec.spec.name
-            ));
-        };
-        rows.push(MigrationCostRow {
-            scheme,
-            phases: m.phases as usize,
-            stall_us: m.stall_us,
-            flit_hops: m.flit_hops,
-            energy_uj: m.energy_uj,
-            moves: m.moves as usize,
-        });
+    MigrationScheme::FIGURE1
+        .iter()
+        .map(|&scheme| {
+            let m = cell(records, id, scheme, |o| match o {
+                ScenarioOutcome::PlanCost(m) => Some(m),
+                _ => None,
+            })?;
+            Ok(MigrationCostRow {
+                scheme,
+                phases: m.phases as usize,
+                stall_us: m.stall_us,
+                flit_hops: m.flit_hops,
+                energy_uj: m.energy_uj,
+                moves: m.moves as usize,
+            })
+        })
+        .collect()
+}
+
+/// Figure 1 with the §3 cross-checks against the paper's numbers.
+fn fig1_text(table: &Fig1Table) -> String {
+    let mut s = format!("{}\n", report::fig1_ascii(table));
+    let avg = table.average_reductions();
+    let _ = writeln!(s, "\nSection 3 cross-checks:");
+    let _ = writeln!(
+        s,
+        "  X-Y Shift average reduction: {:.2} C (paper: 4.62 C, highest)",
+        avg[4]
+    );
+    let _ = writeln!(
+        s,
+        "  Rotation  average reduction: {:.2} C (paper: 4.15 C, second)",
+        avg[0]
+    );
+    let rot_e = &table.rows[4].results[0];
+    let _ = writeln!(
+        s,
+        "  Rotation on E: reduction {:.2} C (paper: negative), mean-temp increase {:.2} C (paper: ~0.3 C)",
+        rot_e.reduction,
+        rot_e.mean_temp_increase()
+    );
+    let a_row = &table.rows[0];
+    let best_a = a_row
+        .results
+        .iter()
+        .map(|r| r.reduction)
+        .fold(f64::MIN, f64::max);
+    let _ = writeln!(s, "  Best reduction on A: {best_a:.2} C (paper: up to 8 C)");
+    let _ = writeln!(
+        s,
+        "  X-Y Shift throughput penalty at 1-block period: {:.2}% (paper: 1.6%)",
+        a_row.results[4].throughput_penalty * 100.0
+    );
+    s
+}
+
+/// The period table with the paper's peak-rise reference points.
+fn period_text(table: &PeriodTable) -> String {
+    let mut s = format!("{}\n", report::period_ascii(table));
+    if let [first, second, third] = table.rows.as_slice() {
+        let _ = writeln!(
+            s,
+            "Peak rise from {}-block to {}-block period: {:.3} C (paper: < 0.1 C)",
+            first.period_blocks,
+            second.period_blocks,
+            second.peak - first.peak
+        );
+        let _ = writeln!(
+            s,
+            "Peak rise from {}-block to {}-block period: {:.3} C (paper: no significant impact)",
+            first.period_blocks,
+            third.period_blocks,
+            third.peak - first.peak
+        );
     }
-    Ok(rows)
+    s
+}
+
+/// One chip's migration-cost table with the "rotation largest" check.
+fn migration_cost_text(id: ChipConfigId, rows: &[MigrationCostRow]) -> String {
+    let side = ChipKind::Config(id).mesh_side();
+    let max_other = rows[1..]
+        .iter()
+        .map(|r| r.energy_uj)
+        .fold(f64::MIN, f64::max);
+    format!(
+        "Migration cost — {side}x{side} chip (config {id}):\n{}\n\
+         Rotation energy {:.1} uJ vs best-of-others {:.1} uJ (paper: rotation largest)\n\n",
+        report::migration_cost_ascii(rows),
+        rows[0].energy_uj,
+        max_other
+    )
 }
 
 /// One operating point of a latency-vs-load saturation curve, aggregated
@@ -280,10 +416,28 @@ pub fn render_latency_load(curves: &[LatencyLoadCurve]) -> Option<String> {
 mod tests {
     use super::*;
     use crate::builtin::builtin;
+    use crate::campaign::CampaignSpec;
     use crate::runner::{run_campaign, RunnerOptions};
-    use hotnoc_core::configs::Fidelity;
-    use hotnoc_core::cosim::CosimParams;
-    use hotnoc_core::experiment::run_migration_cost;
+    use hotnoc_core::configs::{ChipSpec, Fidelity};
+    use hotnoc_core::cosim::{migration_cost, CosimParams};
+    use hotnoc_core::Chip;
+
+    /// Runs `spec` in a fresh scratch directory and returns its records.
+    fn records_of_run(spec: &CampaignSpec, tag: &str) -> Vec<JobRecord> {
+        let dir = std::env::temp_dir().join(format!("hotnoc-exhibit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = run_campaign(
+            spec,
+            &RunnerOptions {
+                threads: 2,
+                out_dir: dir.clone(),
+                ..RunnerOptions::default()
+            },
+        )
+        .expect("campaign runs");
+        let _ = std::fs::remove_dir_all(&dir);
+        run.completed
+    }
 
     #[test]
     fn latency_load_campaign_produces_a_monotone_saturation_curve() {
@@ -323,34 +477,137 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `(phases, stall_us, flit_hops, energy_uj, moves)` of one scheme.
+    type PinnedCost = (usize, f64, u64, f64, usize);
+
+    /// The cost per Figure-1 scheme recorded by the quick `migration-cost`
+    /// campaign; any change to the migration-cost model shows here.
+    const PINNED_COST: [(ChipConfigId, [PinnedCost; 5]); 2] = [
+        (
+            ChipConfigId::A,
+            [
+                (3, 5.22, 30720, 166.98621887058437, 16),
+                (2, 3.48, 24576, 119.92574591372293, 16),
+                (2, 3.504, 49152, 132.82048347174862, 16),
+                (1, 1.74, 18432, 72.86527295686146, 16),
+                (1, 1.752, 36864, 82.38464173587431, 16),
+            ],
+        ),
+        (
+            ChipConfigId::E,
+            [
+                (4, 6.976, 61440, 222.78184554317107, 24),
+                (2, 3.488, 46080, 128.90132277158554, 20),
+                (2, 3.52, 92160, 157.60225967774687, 24),
+                (1, 1.744, 30720, 86.72266138579278, 25),
+                (1, 1.76, 61440, 102.45552983887346, 25),
+            ],
+        ),
+    ];
+
+    #[test]
+    fn migration_cost_campaign_matches_the_pinned_tables() {
+        let spec = builtin("migration-cost", Fidelity::Quick).unwrap();
+        let records = records_of_run(&spec, "cost");
+        for (id, pinned) in PINNED_COST {
+            let rows = migration_cost_rows(&records, id).expect("rows");
+            assert_eq!(rows.len(), pinned.len());
+            for (row, (phases, stall_us, flit_hops, energy_uj, moves)) in rows.iter().zip(pinned) {
+                assert_eq!(row.phases, phases, "{id} {}", row.scheme);
+                assert_eq!(row.flit_hops, flit_hops, "{id} {}", row.scheme);
+                assert_eq!(row.moves, moves, "{id} {}", row.scheme);
+                assert!(
+                    (row.stall_us - stall_us).abs() < 1e-9,
+                    "{id} {}",
+                    row.scheme
+                );
+                assert!(
+                    (row.energy_uj - energy_uj).abs() < 1e-9,
+                    "{id} {}",
+                    row.scheme
+                );
+            }
+            // Rotation stalls longest (most phases) — the paper's "largest
+            // energy penalty".
+            assert!(rows.iter().all(|r| r.energy_uj > 0.0));
+            assert!(rows[0].stall_us > rows[4].stall_us);
+            assert!(rows[0].energy_uj > rows[4].energy_uj);
+        }
+        let names: Vec<String> = render(&records)
+            .into_iter()
+            .filter_map(|e| e.csv.map(|(name, _)| name))
+            .collect();
+        assert_eq!(names, ["migration_cost_A.csv", "migration_cost_E.csv"]);
+    }
+
     #[test]
     fn migration_cost_campaign_matches_the_direct_experiment() {
-        let dir = std::env::temp_dir().join(format!("hotnoc-exhibit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = builtin("migration-cost", Fidelity::Quick).unwrap();
-        let run = run_campaign(
-            &spec,
-            &RunnerOptions {
-                threads: 2,
-                out_dir: dir.clone(),
-                ..RunnerOptions::default()
-            },
-        )
-        .expect("campaign runs");
+        let records = records_of_run(
+            &builtin("migration-cost", Fidelity::Quick).unwrap(),
+            "direct",
+        );
         for id in [ChipConfigId::A, ChipConfigId::E] {
-            let via_engine = migration_cost_rows(&run.completed, id).expect("rows");
-            let direct =
-                run_migration_cost(id, Fidelity::Quick, &CosimParams::quick()).expect("direct");
-            assert_eq!(via_engine.len(), direct.len());
-            for (a, b) in via_engine.iter().zip(&direct) {
-                assert_eq!(a.scheme, b.scheme);
-                assert_eq!(a.phases, b.phases);
-                assert_eq!(a.flit_hops, b.flit_hops);
-                assert_eq!(a.moves, b.moves);
-                assert!((a.stall_us - b.stall_us).abs() < 1e-9);
-                assert!((a.energy_uj - b.energy_uj).abs() < 1e-9);
+            let via_engine = migration_cost_rows(&records, id).expect("rows");
+            let mut chip = Chip::build(ChipSpec::of(id, Fidelity::Quick)).unwrap();
+            let cal = chip.calibrate().unwrap();
+            assert_eq!(via_engine.len(), MigrationScheme::FIGURE1.len());
+            for (a, &scheme) in via_engine.iter().zip(&MigrationScheme::FIGURE1) {
+                let b = migration_cost(&chip, scheme, &CosimParams::quick(), cal.total_dynamic);
+                assert_eq!(a.scheme, scheme);
+                assert_eq!(a.phases, b.plan.num_phases());
+                assert_eq!(a.flit_hops, b.plan.total_flit_hops());
+                assert_eq!(a.moves, b.plan.total_moves());
+                assert!((a.stall_us - b.stall_seconds * 1e6).abs() < 1e-9);
+                assert!((a.energy_uj - b.energy_j * 1e6).abs() < 1e-9);
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cell_with_several_records_renders_nothing() {
+        // `sweep` runs every Figure 1 cell at two periods.
+        let records = records_of_run(&builtin("sweep", Fidelity::Quick).unwrap(), "sweep");
+        let err = fig1_table(&records).unwrap_err();
+        assert!(err.contains("several records"), "{err}");
+        assert_eq!(render(&records), vec![]);
+    }
+
+    #[test]
+    fn period_sweep_penalty_decreases_with_period() {
+        let spec = CampaignSpec {
+            periods: vec![8, 32],
+            ..builtin("period-sweep", Fidelity::Quick).unwrap()
+        };
+        let t = period_table(&records_of_run(&spec, "period")).unwrap();
+        assert_eq!(t.rows.len(), 2);
+        assert!(t.rows[0].penalty_pct > t.rows[1].penalty_pct);
+        let ratio = t.rows[0].penalty_pct / t.rows[1].penalty_pct;
+        assert!((2.5..4.0).contains(&ratio), "penalty ratio {ratio} off");
+    }
+
+    #[test]
+    fn quick_period_sweep_cools_at_every_period() {
+        let spec = builtin("period-sweep", Fidelity::Quick).unwrap();
+        let records = records_of_run(&spec, "quick-sweep");
+        let t = period_table(&records).unwrap();
+        let periods: Vec<u64> = t.rows.iter().map(|r| r.period_blocks).collect();
+        assert_eq!(periods, [24, 96, 192]);
+        for r in &t.rows {
+            assert!(
+                r.reduction > 0.0,
+                "period {}: {:.2} C",
+                r.period_blocks,
+                r.reduction
+            );
+        }
+        let exhibits = render(&records);
+        assert_eq!(exhibits.len(), 1);
+        assert!(exhibits[0]
+            .text
+            .contains("Peak rise from 24-block to 96-block"));
+        assert_eq!(
+            exhibits[0].csv.as_ref().map(|(name, _)| name.as_str()),
+            Some("period_sweep.csv")
+        );
     }
 }

@@ -19,9 +19,9 @@
 //!   at any thread count** plus a human summary table.
 //! * [`builtin`] names the paper's exhibits (Figure 1, the period sweep,
 //!   migration cost, adaptive comparison, the latency-vs-load saturation
-//!   curve) as ready-made campaigns; [`exhibits`] projects campaign
-//!   results back onto the legacy report tables (and renders the
-//!   latency-load curve).
+//!   curve) as ready-made campaigns; [`exhibits`] renders the tables a
+//!   completed campaign's records determine (Figure 1, the period and
+//!   migration-cost tables with their CSVs, latency-load curves).
 //! * [`stats`] collapses records across the seed axis into per-group
 //!   summary statistics (mean / std-dev / min / max / median / p95 /
 //!   t-based 95% CI) and serializes them as the

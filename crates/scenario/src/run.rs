@@ -13,12 +13,11 @@ use crate::outcome::{
 use crate::spec::{fidelity_name, ChipKind, Mode, Policy, ScenarioSpec, Workload};
 use hotnoc_core::adaptive::run_adaptive_cosim_traced;
 use hotnoc_core::configs::Fidelity;
-use hotnoc_core::cosim::run_cosim_traced;
+use hotnoc_core::cosim::{migration_cost, run_cosim_traced};
 use hotnoc_core::{CalibratedPower, Chip, CosimParams};
 use hotnoc_noc::{Mesh, Network, NocConfig, TrafficGenerator};
 use hotnoc_obs::{TraceEvent, TraceSink, VecSink};
-use hotnoc_reconfig::phases::PhaseCostModel;
-use hotnoc_reconfig::{MigrationPlan, MigrationScheme, StateSpec};
+use hotnoc_reconfig::MigrationScheme;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -60,27 +59,16 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioErro
 }
 
 /// Runs one scenario and also returns its deterministic event trace,
-/// bracketed by [`TraceEvent::JobStart`] / [`TraceEvent::JobFinish`]. The
-/// simulation is identical to [`run_scenario`] — tracing is observation
-/// only.
+/// bracketed by [`TraceEvent::JobStart`] / [`TraceEvent::JobFinish`]. `job`
+/// lands in the bracket events: a campaign job's index in the
+/// stably-ordered expanded job list, 0 for a lone scenario. `JobFinish` is
+/// keyed by the highest cycle any event reached. The simulation is
+/// identical to [`run_scenario`] — tracing is observation only.
 ///
 /// # Errors
 ///
 /// As [`run_scenario`].
 pub fn run_scenario_traced(
-    spec: &ScenarioSpec,
-) -> Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError> {
-    run_scenario_traced_as_job(spec, 0)
-}
-
-/// [`run_scenario_traced`] for a campaign job: `job` is the job's index in
-/// the stably-ordered expanded job list and lands in the bracket events.
-/// `JobFinish` is keyed by the highest cycle any event reached.
-///
-/// # Errors
-///
-/// As [`run_scenario`].
-pub fn run_scenario_traced_as_job(
     spec: &ScenarioSpec,
     job: u64,
 ) -> Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError> {
@@ -189,26 +177,13 @@ fn plan_cost(
     scheme: MigrationScheme,
     params: &CosimParams,
 ) -> PlanCostMetrics {
-    let plan = MigrationPlan::plan(
-        chip.mesh(),
-        scheme,
-        &StateSpec::default(),
-        &PhaseCostModel::default(),
-    );
-    let stall_s = plan.total_cycles() as f64 / chip.noc_config().clock_hz;
-    let energy = plan.total_flit_hops() as f64 * params.e_flit_hop
-        + plan
-            .per_tile_endpoint_flits(chip.mesh())
-            .iter()
-            .sum::<u64>() as f64
-            * params.e_convert_flit
-        + stall_s * params.stall_power_fraction * cal.total_dynamic;
+    let cost = migration_cost(chip, scheme, params, cal.total_dynamic);
     PlanCostMetrics {
-        phases: plan.num_phases() as u64,
-        stall_us: stall_s * 1e6,
-        flit_hops: plan.total_flit_hops(),
-        energy_uj: energy * 1e6,
-        moves: plan.total_moves() as u64,
+        phases: cost.plan.num_phases() as u64,
+        stall_us: cost.stall_seconds * 1e6,
+        flit_hops: cost.plan.total_flit_hops(),
+        energy_uj: cost.energy_j * 1e6,
+        moves: cost.plan.total_moves() as u64,
     }
 }
 
@@ -311,7 +286,7 @@ mod tests {
             },
         ];
         let plain = run_scenario(&spec).unwrap();
-        let (traced, events) = run_scenario_traced(&spec).unwrap();
+        let (traced, events) = run_scenario_traced(&spec, 0).unwrap();
         assert_eq!(plain, traced, "tracing must not perturb the run");
         assert!(matches!(events.first(), Some(TraceEvent::JobStart { .. })));
         assert!(matches!(events.last(), Some(TraceEvent::JobFinish { .. })));
@@ -336,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cost_mode_matches_experiment_table() {
+    fn plan_cost_mode_matches_the_pinned_rotation_cost() {
         let spec = ScenarioSpec {
             name: "cost".to_string(),
             chip: ChipKind::Config(ChipConfigId::A),
@@ -355,18 +330,13 @@ mod tests {
         let ScenarioOutcome::PlanCost(m) = &out else {
             panic!("expected plan-cost outcome");
         };
-        let rows = hotnoc_core::experiment::run_migration_cost(
-            ChipConfigId::A,
-            Fidelity::Quick,
-            &CosimParams::quick(),
-        )
-        .unwrap();
-        let rot = &rows[0];
-        assert_eq!(m.phases, rot.phases as u64);
-        assert_eq!(m.flit_hops, rot.flit_hops);
-        assert_eq!(m.moves, rot.moves as u64);
-        assert!((m.stall_us - rot.stall_us).abs() < 1e-9);
-        assert!((m.energy_uj - rot.energy_uj).abs() < 1e-9);
+        // Rotation on config A as the quick `migration-cost` campaign
+        // recorded it.
+        assert_eq!(m.phases, 3);
+        assert_eq!(m.flit_hops, 30720);
+        assert_eq!(m.moves, 16);
+        assert!((m.stall_us - 5.22).abs() < 1e-9);
+        assert!((m.energy_uj - 166.98621887058437).abs() < 1e-9);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::error::ScenarioError;
 use crate::journal::{canonical_outcome, Journal, JournalError};
 use crate::json::Json;
 use crate::outcome::ScenarioOutcome;
-use crate::run::{run_scenario, run_scenario_traced_as_job};
+use crate::run::{run_scenario, run_scenario_traced};
 use crate::shard::{Shard, SHARD_SCHEMA};
 use crate::spec::ScenarioSpec;
 use crate::stats::{aggregate, aggregate_json, headline_metric};
@@ -404,7 +404,7 @@ fn run_job(
         return run_scenario(job).map_err(|e| e.to_string());
     };
     let (outcome, mut events) =
-        run_scenario_traced_as_job(job, index as u64).map_err(|e| e.to_string())?;
+        run_scenario_traced(job, index as u64).map_err(|e| e.to_string())?;
     if let Some(shard) = shard {
         // Keyed by stripe position, not completion order, so sharded
         // traces stay byte-deterministic at any thread count.

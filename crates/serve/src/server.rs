@@ -45,8 +45,9 @@ const QUEUE_DEPTH: usize = 64;
 /// A longer one gets an anonymous status-2 error and the connection closes.
 const MAX_LINE: usize = 1 << 20;
 
-/// A connection that sends nothing for this long is closed, so idle
-/// clients cannot hold the fixed handler threads.
+/// A connection that sends nothing for this long is closed, and a reply
+/// write that makes no progress for this long fails, so neither idle nor
+/// non-reading clients can hold the fixed handler threads.
 const IDLE: Duration = Duration::from_secs(3);
 
 /// Handler read timeout: how often a handler waiting on a quiet connection
@@ -301,17 +302,20 @@ impl Listener {
 
     /// Blocks until a connection arrives. Its reads time out every
     /// [`READ_TICK`] so the handler can enforce [`IDLE`] and notice a
-    /// drain while the client is quiet.
+    /// drain while the client is quiet; a write that makes no progress for
+    /// [`IDLE`] fails, so a client that stops reading cannot pin a handler.
     fn accept(&self) -> std::io::Result<Box<dyn Stream>> {
         match self {
             Listener::Unix(l, _) => {
                 let (s, _) = l.accept()?;
                 s.set_read_timeout(Some(READ_TICK))?;
+                s.set_write_timeout(Some(IDLE))?;
                 Ok(Box::new(s))
             }
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
                 s.set_read_timeout(Some(READ_TICK))?;
+                s.set_write_timeout(Some(IDLE))?;
                 Ok(Box::new(s))
             }
         }
@@ -1028,6 +1032,36 @@ mod tests {
         for conn in &mut idle {
             assert_eq!(read_line(conn), "", "idle connection must be closed");
         }
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clients_that_stop_reading_cannot_pin_the_handlers() {
+        let dir = tmp_dir("noread");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        // start_daemon runs 2 handlers. Pin both: each client pipelines far
+        // more pings than the sockets buffer and never reads a reply, so
+        // its handler blocks writing.
+        let flood = format!("{}\n", r#"{"op": "ping"}"#).repeat(1 << 16);
+        let stalled: Vec<_> = (0..2)
+            .map(|_| {
+                let conn = hold_handler(&endpoint);
+                let mut writer = conn.get_ref().try_clone().unwrap();
+                let flood = flood.clone();
+                // Ends with an error once the daemon drops the connection.
+                std::thread::spawn(move || writer.write_all(flood.as_bytes()));
+                conn
+            })
+            .collect();
+        let t0 = Instant::now();
+        let mut conn = connect(&endpoint);
+        send(&mut conn, r#"{"op": "ping"}"#);
+        assert!(read_line(&mut conn).contains("pong"));
+        let waited = t0.elapsed();
+        assert!(waited < IDLE + Duration::from_secs(5), "waited {waited:?}");
+        drop((stalled, conn));
         client::shutdown(&endpoint).unwrap();
         handle.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

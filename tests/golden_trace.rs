@@ -302,7 +302,7 @@ fn scenario_trace_round_trips_through_the_file_format() {
         }],
         seed: 3,
     };
-    let (_, events) = hotnoc::scenario::run_scenario_traced(&spec).expect("traced run");
+    let (_, events) = hotnoc::scenario::run_scenario_traced(&spec, 0).expect("traced run");
     assert!(matches!(events.first(), Some(TraceEvent::JobStart { .. })));
     assert!(matches!(events.last(), Some(TraceEvent::JobFinish { .. })));
     let text = TraceDoc::new(&spec.name, events).to_jsonl();
