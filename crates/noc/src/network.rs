@@ -65,14 +65,29 @@ struct FaultDriver {
 ///
 /// # Performance architecture
 ///
-/// `step` cost tracks *occupancy*, not topology size: a per-router work
-/// counter (buffered flits + outbound link flits + queued NIC flits +
-/// credits in flight) feeds a sorted dirty worklist, and only routers with
-/// pending work are visited each cycle. A fully idle mesh steps in O(1).
-/// The router-to-router adjacency is precomputed at construction
-/// (`neighbors`), so the hot loop never re-derives coordinates, and switch
-/// allocation walks a bitmask of occupied input VCs instead of scanning
-/// every `(port, vc)` slot.
+/// `step` cost tracks *routers that can move*, not topology size or
+/// occupancy. A per-router work counter (buffered flits + outbound link
+/// flits + queued NIC flits + credits in flight) feeds a sorted dirty
+/// worklist, and only routers on it are visited each cycle. A fully idle
+/// mesh steps in O(1). The router-to-router adjacency is precomputed at
+/// construction (`neighbors`), so the hot loop never re-derives
+/// coordinates, and switch allocation walks a bitmask of occupied input
+/// VCs instead of scanning every `(port, vc)` slot.
+///
+/// **Parking.** A router that is blocked on credits or on a held wormhole
+/// channel would be re-visited every cycle for nothing. So at the end of
+/// each step, a worklist router leaves the list while keeping its work
+/// (`queued = false`, `work > 0`) when its visit that step landed no
+/// credit, popped no outbound-link flit, injected no NIC flit, computed no
+/// route and won no switch arbitration, and it has no credit or link flit
+/// in flight (`work == buffered + NIC queue`). A router's visit reads only
+/// its own state and the fault tables, so a parked router's state is a
+/// fixed point of `step` until something else touches it. Every such touch
+/// already enrols it: [`Network::inject`], committed credit events and
+/// cross-stripe link arrivals go through `add_work`, in-stripe arrivals
+/// through the pre-sweep's activation list, and a fault epoch (which
+/// rewrites buffers, routes and credits directly) re-enrols every router
+/// with work. Parking skips router visits, never cycles.
 ///
 /// The allocation sweep itself (route computation + switch allocation +
 /// traversal) is a two-phase compute/commit design: the dirty worklist is
@@ -87,10 +102,17 @@ struct FaultDriver {
 /// (`HOTNOC_THREADS`, default: available parallelism) and the worklist is
 /// large enough to amortize dispatch.
 ///
+/// Tracing follows the same path. The congestion watermark samples each
+/// visited router's buffered count in the allocation sweep. A parked
+/// router's count is constant, so parked routers are sampled once, on the
+/// first cycle of each window, right after the step's first worklist
+/// merge; the sample joins that cycle's sweep sample under the same
+/// strict-max, lowest-id tie-break.
+///
 /// All of this is behaviourally invisible: the cycle-for-cycle semantics
 /// are identical to a dense serial 0..n sweep at every thread count
-/// (guarded by the golden-determinism suite and the parallel-equivalence
-/// property tests).
+/// (guarded by the golden-determinism suite, the parallel-equivalence
+/// property tests and a lockstep parked-vs-dense oracle test).
 pub struct Network {
     cfg: NocConfig,
     mesh: Mesh,
@@ -116,8 +138,12 @@ pub struct Network {
     worklist: Vec<u32>,
     /// Routers activated since the worklist was last merged.
     incoming: Vec<u32>,
-    /// Whether a router sits in `worklist` or `incoming` already.
+    /// Whether a router sits in `worklist` or `incoming` already. A router
+    /// with `work > 0` and `queued == false` is parked.
     queued: Vec<bool>,
+    /// Whether each router's visit changed its state during the current
+    /// step; read and cleared by the allocation sweep's parking check.
+    moved: Vec<bool>,
     /// Scratch buffer for worklist merging (reused across cycles).
     scratch: Vec<u32>,
     /// Worker count for the allocation sweep (1 = serial), resolved from
@@ -138,6 +164,10 @@ pub struct Network {
     /// Deterministic trace recording; `None` (the default) keeps every hot
     /// path on a single never-taken branch.
     trace: Option<Box<TraceState>>,
+    /// Test oracle: never park, so every router with work is visited each
+    /// cycle.
+    #[cfg(test)]
+    dense: bool,
 }
 
 /// Trace recording state, live only while a sink is installed (see
@@ -204,6 +234,7 @@ struct Stripe<'a> {
     delivered: &'a mut [Vec<DeliveredPacket>],
     buffered: &'a mut [u32],
     work: &'a mut [u32],
+    moved: &'a mut [bool],
 }
 
 /// Cross-stripe and network-global effects of one stripe's sweep, buffered
@@ -241,6 +272,9 @@ struct SweepOut {
     /// Tracing only: the router holding `peak_occ` (first = lowest id,
     /// since stripes visit their ids in ascending order).
     peak_router: u32,
+    /// Allocation sweep: routers whose visit changed nothing and that have
+    /// nothing in flight, to park at commit.
+    parked: Vec<u32>,
 }
 
 impl SweepOut {
@@ -256,6 +290,7 @@ impl SweepOut {
         self.nic_injected = 0;
         self.peak_occ = 0;
         self.peak_router = 0;
+        self.parked.clear();
     }
 }
 
@@ -294,6 +329,7 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
         // 1. Land credits that were in flight back to this router.
         let landed = stripe.routers[i].land_credits(ctx.now);
         stripe.work[i] -= landed as u32;
+        let arrived_before = out.flits_arrived;
 
         // 2. Link arrivals: move flits that completed link traversal into
         //    the downstream router's input buffers.
@@ -323,6 +359,8 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
             }
         }
 
+        stripe.moved[i] = landed > 0 || out.flits_arrived > arrived_before;
+
         // 3. NIC injection: one flit per node per cycle into the local
         //    port, space permitting. Phase 2 only ever feeds mesh ports, so
         //    the Local-port space check is commit-order independent.
@@ -339,6 +377,7 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
             out.nic_injected += 1;
             stripe.buffered[i] += 1;
             out.flits_buffered += 1;
+            stripe.moved[i] = true;
         }
     }
 }
@@ -405,6 +444,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                             packet,
                         };
                         router.activity.routes_computed += 1;
+                        stripe.moved[i] = true;
                     } else {
                         continue;
                     }
@@ -472,6 +512,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
             }
             let Some((port, vc)) = winner else { continue };
             input_used[port] = true;
+            stripe.moved[i] = true;
             router.outputs[d].rr_ptr = (port * num_vcs + vc + 1) % ctx.slots;
             router.activity.arbitrations += 1;
 
@@ -555,6 +596,15 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 out.stats.flit_hops += 1;
             }
         }
+
+        // A parking candidate: its visit changed nothing and no credit or
+        // link flit is in flight to or from it. The commit re-checks for
+        // credits returned to it this cycle.
+        if !std::mem::take(&mut stripe.moved[i])
+            && stripe.work[i] == stripe.buffered[i] + stripe.nics[i].pending_flits() as u32
+        {
+            out.parked.push(r_global as u32);
+        }
     }
 }
 
@@ -617,6 +667,7 @@ impl Network {
             worklist: Vec::new(),
             incoming: Vec::new(),
             queued: vec![false; n],
+            moved: vec![false; n],
             scratch: Vec::new(),
             threads: minipool::configured_threads(),
             par_threshold: DEFAULT_PAR_THRESHOLD,
@@ -626,6 +677,8 @@ impl Network {
             total_nic_queued: 0,
             faults: None,
             trace: None,
+            #[cfg(test)]
+            dense: false,
         })
     }
 
@@ -874,6 +927,7 @@ impl Network {
                 delivered: &mut self.delivered,
                 buffered: &mut self.buffered,
                 work: &mut self.work,
+                moved: &mut self.moved,
             };
             f(&ctx, &mut stripe, out);
         } else {
@@ -895,8 +949,10 @@ impl Network {
                 .zip(split_at_cuts(&mut self.nics, &cuts))
                 .zip(split_at_cuts(&mut self.delivered, &cuts))
                 .zip(split_at_cuts(&mut self.buffered, &cuts))
-                .zip(split_at_cuts(&mut self.work, &cuts));
-            for (k, (((((routers, links), nics), delivered), buffered), work)) in pieces.enumerate()
+                .zip(split_at_cuts(&mut self.work, &cuts))
+                .zip(split_at_cuts(&mut self.moved, &cuts));
+            for (k, ((((((routers, links), nics), delivered), buffered), work), moved)) in
+                pieces.enumerate()
             {
                 stripes.push(Stripe {
                     base: if k == 0 { 0 } else { cuts[k - 1] },
@@ -907,6 +963,7 @@ impl Network {
                     delivered,
                     buffered,
                     work,
+                    moved,
                 });
             }
             let pool = minipool::global();
@@ -927,15 +984,26 @@ impl Network {
     /// Advances the simulation by one clock cycle.
     ///
     /// Only routers with pending work (tracked by the occupancy counters)
-    /// are visited; an idle network advances its clock in O(1).
+    /// that are not parked are visited; an idle network advances its clock
+    /// in O(1).
     pub fn step(&mut self) {
         let now = self.cycle;
         if self.faults.is_some() {
             self.apply_fault_events(now);
         }
         self.merge_worklist();
+        // Parked routers hold their buffered counts until woken, so the
+        // congestion watermark samples them once per window, before any
+        // flit of this cycle moves.
+        let parked_sample = self.parked_peak(now);
         if self.worklist.is_empty() {
-            self.close_congestion_window(now);
+            if let Some(t) = &mut self.trace {
+                let (peak, router) = parked_sample;
+                if peak > t.peak {
+                    (t.peak, t.peak_cycle, t.peak_router) = (peak, now, router);
+                }
+                self.close_congestion_window(now);
+            }
             self.cycle += 1;
             return;
         }
@@ -992,12 +1060,15 @@ impl Network {
         // the dense serial sweep would have produced.
         let tracing = self.trace.is_some();
         let mut cycle_detours = 0u64;
-        let mut cycle_peak = 0u64;
-        let mut cycle_peak_router = 0u32;
+        let (mut cycle_peak, mut cycle_peak_router) = parked_sample;
         for out in &mut self.stripe_outs[..nstripes] {
             if tracing {
                 cycle_detours += out.stats.detour_hops;
-                if out.peak_occ > cycle_peak {
+                // Parked routers join the sample unvisited, so ties go to
+                // the lower id explicitly rather than by visiting order.
+                if out.peak_occ > cycle_peak
+                    || (out.peak_occ == cycle_peak && out.peak_router < cycle_peak_router)
+                {
                     cycle_peak = out.peak_occ;
                     cycle_peak_router = out.peak_router;
                 }
@@ -1026,6 +1097,7 @@ impl Network {
                 );
             }
         }
+        self.park_blocked(nstripes);
 
         drop(prof_alloc);
 
@@ -1048,6 +1120,48 @@ impl Network {
         self.close_congestion_window(now);
 
         self.cycle += 1;
+    }
+
+    /// Parks the allocation sweep's candidates that no credit was returned
+    /// to during the commit: each leaves the worklist and keeps its work,
+    /// its state a fixed point of `step` until an enrolment path wakes it
+    /// (see the [`Network`] performance notes).
+    fn park_blocked(&mut self, nstripes: usize) {
+        #[cfg(test)]
+        if self.dense {
+            return;
+        }
+        let mut parked_any = false;
+        for out in &self.stripe_outs[..nstripes] {
+            for &r in &out.parked {
+                let r = r as usize;
+                if self.work[r] == self.buffered[r] + self.nics[r].pending_flits() as u32 {
+                    self.queued[r] = false;
+                    parked_any = true;
+                }
+            }
+        }
+        if parked_any {
+            let queued = &self.queued;
+            self.worklist.retain(|&r| queued[r as usize]);
+        }
+    }
+
+    /// Tracing only, on the first cycle of a congestion window: the
+    /// largest buffered count over parked routers and the lowest id holding
+    /// it, `(0, 0)` if none (or otherwise).
+    #[inline]
+    fn parked_peak(&self, now: u64) -> (u64, u32) {
+        let mut best = (0u64, 0u32);
+        if self.trace.as_ref().is_none_or(|t| t.window_start != now) {
+            return best;
+        }
+        for (r, (&b, &q)) in self.buffered.iter().zip(&self.queued).enumerate() {
+            if !q && b as u64 > best.0 {
+                best = (b as u64, r as u32);
+            }
+        }
+        best
     }
 
     /// Installs a trace sink: fault/repair epochs, source packet drops,
@@ -1342,6 +1456,14 @@ impl Network {
             self.fault_teardown(&driver.state, &newly_failed);
             for &r in &repaired {
                 self.restore_router_credits(r, &driver.state);
+            }
+            // Teardown and credit repair rewrite router state behind the
+            // worklist, so every parked router must be visited again.
+            for r in 0..self.mesh.len() {
+                if self.work[r] > 0 && !self.queued[r] {
+                    self.queued[r] = true;
+                    self.incoming.push(r as u32);
+                }
             }
             if let Some(t) = &mut self.trace {
                 t.epochs += 1;
@@ -2069,6 +2191,182 @@ mod tests {
         assert!(p99 >= net.stats().max_packet_latency);
         let p50 = h.quantile_upper_bound(0.5).unwrap();
         assert!(p50 <= p99);
+    }
+}
+
+#[cfg(test)]
+mod parking_oracle {
+    //! Lockstep oracle for router parking. Two networks take identical
+    //! traffic and fault plans; one parks blocked routers, the other runs
+    //! dense (every router with work is visited every cycle, the behaviour
+    //! before parking existed). They must agree on every observable, every
+    //! cycle, at any thread count.
+
+    use super::*;
+    use crate::fault::FaultPlan;
+    use crate::traffic::{TrafficGenerator, TrafficPattern};
+    use hotnoc_obs::VecSink;
+    use proptest::prelude::*;
+
+    /// Routers with work that sit off the worklist.
+    fn parked(net: &Network) -> Vec<usize> {
+        (0..net.mesh.len())
+            .filter(|&r| net.work[r] > 0 && !net.queued[r])
+            .collect()
+    }
+
+    fn mk(mesh: Mesh, vcs: u8, threads: usize, dense: bool) -> Network {
+        let cfg = NocConfig {
+            num_vcs: vcs,
+            ..NocConfig::default()
+        };
+        let mut net = Network::try_new(mesh, cfg, RoutingKind::Xy).unwrap();
+        net.set_threads(threads);
+        net.set_par_threshold(1);
+        net.dense = dense;
+        net
+    }
+
+    /// Fails one router and one link at `fail_at` and repairs both
+    /// `repair_after` cycles later, at positions drawn from `pick`.
+    fn fault_plan(side: usize, pick: u64, fail_at: u64, repair_after: u64) -> FaultPlan {
+        let s = side as u64;
+        let c = |v: u64| (v % s) as u8;
+        let router = Coord::new(c(pick), c(pick >> 8));
+        let (x, y) = (c(pick >> 16) % (side as u8 - 1), c(pick >> 24));
+        let (a, b) = if pick >> 32 & 1 == 1 {
+            (Coord::new(y, x), Coord::new(y, x + 1))
+        } else {
+            (Coord::new(x, y), Coord::new(x + 1, y))
+        };
+        let repair_at = fail_at + repair_after;
+        FaultPlan::new()
+            .fail_router(fail_at, router)
+            .fail_link(fail_at, a, b)
+            .repair_router(repair_at, router)
+            .repair_link(repair_at, a, b)
+    }
+
+    /// Steps both networks once and asserts every per-cycle invariant.
+    fn step_both(parked_net: &mut Network, dense: &mut Network) {
+        parked_net.step();
+        dense.step();
+        let cycle = dense.cycle();
+        prop_assert_eq!(
+            parked_net.stats(),
+            dense.stats(),
+            "stats at cycle {}",
+            cycle
+        );
+        prop_assert_eq!(parked_net.in_flight(), dense.in_flight());
+        prop_assert_eq!(parked_net.snapshot(), dense.snapshot());
+        let s = parked_net.stats();
+        prop_assert_eq!(
+            s.flits_injected,
+            s.flits_ejected + s.flits_dropped + parked_net.in_flight(),
+            "flit conservation at cycle {}",
+            cycle
+        );
+        for r in parked(parked_net) {
+            prop_assert!(
+                parked_net.routers[r]
+                    .outputs
+                    .iter()
+                    .all(|o| o.credit_queue.is_empty()),
+                "parked router {} has credits in flight",
+                r
+            );
+            prop_assert!(
+                parked_net.links[r].iter().all(VecDeque::is_empty),
+                "parked router {} has link flits in flight",
+                r
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn parked_network_matches_dense_oracle_cycle_for_cycle(
+            side in 3usize..9,
+            vcs in 1u8..4,
+            pattern in 0u8..3,
+            rate_pct in 1u32..51,
+            len in 1u32..7,
+            seed in 0u64..1_000_000_000,
+            three_threads in 0u8..2,
+            fail_at in 20u64..200,
+            repair_after in 1u64..200,
+            trace_at in 0u64..100,
+        ) {
+            let mesh = Mesh::square(side).unwrap();
+            let threads = if three_threads == 1 { 3 } else { 1 };
+            let pattern = match pattern {
+                0 => TrafficPattern::UniformRandom,
+                1 => TrafficPattern::Transpose,
+                _ => TrafficPattern::Hotspot {
+                    nodes: vec![Coord::new((seed % side as u64) as u8, (side / 2) as u8)],
+                    fraction: 0.6,
+                },
+            };
+            let rate = rate_pct as f64 / 100.0;
+            let pick = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let plan = fault_plan(side, pick, fail_at, repair_after);
+            let (mut a, mut b) = (mk(mesh, vcs, threads, false), mk(mesh, vcs, threads, true));
+            a.install_fault_plan(plan.clone()).unwrap();
+            b.install_fault_plan(plan).unwrap();
+            let mk_gen = || TrafficGenerator::new(mesh, pattern.clone(), rate, len, seed);
+            let (mut gen_a, mut gen_b) = (mk_gen(), mk_gen());
+            for cycle in 0..300u64 {
+                if cycle == trace_at {
+                    a.set_trace_sink(Box::new(VecSink::new()));
+                    b.set_trace_sink(Box::new(VecSink::new()));
+                }
+                gen_a.tick(&mut a);
+                gen_b.tick(&mut b);
+                step_both(&mut a, &mut b);
+            }
+            // Keep stepping past the repairs into the drain, still in
+            // lockstep; a saturated hotspot need not finish draining.
+            for _ in 0..2_000 {
+                if b.in_flight() == 0 {
+                    break;
+                }
+                step_both(&mut a, &mut b);
+            }
+            prop_assert_eq!(a.drain_all_delivered(), b.drain_all_delivered());
+            let events_a = a.take_trace_sink().unwrap().drain();
+            let events_b = b.take_trace_sink().unwrap().drain();
+            prop_assert_eq!(events_a.len(), events_b.len(), "trace lengths differ");
+            for (i, (ea, eb)) in events_a.iter().zip(&events_b).enumerate() {
+                prop_assert_eq!(ea, eb, "trace event {} differs", i);
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_hotspot_parks_routers_and_wakes_them() {
+        let mesh = Mesh::square(6).unwrap();
+        let mut net = mk(mesh, 2, 1, false);
+        let pattern = TrafficPattern::Hotspot {
+            nodes: vec![Coord::new(3, 3)],
+            fraction: 0.8,
+        };
+        let mut gen = TrafficGenerator::new(mesh, pattern, 0.5, 4, 7);
+        let mut most_parked = 0;
+        for _ in 0..400 {
+            gen.tick(&mut net);
+            net.step();
+            most_parked = most_parked.max(parked(&net).len());
+        }
+        assert!(most_parked > 0, "saturation never parked a router");
+        net.run_until_idle(100_000).unwrap();
+        assert!(
+            parked(&net).is_empty(),
+            "a drained network keeps parked routers"
+        );
+        assert_eq!(net.recount_in_flight(), 0);
     }
 }
 

@@ -339,7 +339,11 @@ fn handle_connection(mut stream: Box<dyn Stream>, state: &State) {
     let mut buf: Vec<u8> = Vec::new();
     let mut scanned = 0; // leading bytes of `buf` known to hold no newline
     let mut chunk = [0u8; 4096];
-    let mut active = Instant::now();
+    // When the last reply went out or, while a request line is partial,
+    // when its first byte arrived. Either way IDLE bounds the wait, so
+    // neither a silent client nor one that drips a byte every few seconds
+    // holds a handler.
+    let mut since = Instant::now();
     loop {
         match buf[scanned..].iter().position(|&b| b == b'\n') {
             Some(at) if scanned + at <= MAX_LINE => {
@@ -350,12 +354,17 @@ fn handle_connection(mut stream: Box<dyn Stream>, state: &State) {
                     continue;
                 }
                 match handle_line(&line, stream.as_mut(), state) {
-                    Ok(Flow::Continue) => active = Instant::now(),
+                    Ok(Flow::Continue) => since = Instant::now(),
                     Ok(Flow::Close) | Err(_) => return,
                 }
                 continue;
             }
-            None if buf.len() <= MAX_LINE => scanned = buf.len(),
+            None if buf.len() <= MAX_LINE => {
+                if since.elapsed() >= IDLE {
+                    return;
+                }
+                scanned = buf.len();
+            }
             _ => {
                 // Like an unparsable line: answer anonymously and close.
                 let error = format!("request line exceeds {MAX_LINE} bytes");
@@ -366,15 +375,14 @@ fn handle_connection(mut stream: Box<dyn Stream>, state: &State) {
         match stream.read(&mut chunk) {
             Ok(0) => return, // client hung up
             Ok(n) => {
+                if buf.is_empty() {
+                    since = Instant::now();
+                }
                 buf.extend_from_slice(&chunk[..n]);
-                active = Instant::now();
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // A quiet connection is closed once it has been silent for
-                // IDLE, or at once (between requests) when draining.
-                if active.elapsed() >= IDLE
-                    || (state.draining.load(Ordering::SeqCst) && buf.is_empty())
-                {
+                // Between requests, a draining daemon closes at once.
+                if state.draining.load(Ordering::SeqCst) && buf.is_empty() {
                     return;
                 }
             }
@@ -1032,6 +1040,42 @@ mod tests {
         for conn in &mut idle {
             assert_eq!(read_line(conn), "", "idle connection must be closed");
         }
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn slow_drip_request_lines_are_cut_off() {
+        let dir = tmp_dir("drip");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        let mut drip = connect(&endpoint);
+        let mut writer = drip.get_ref().try_clone().unwrap();
+        let t0 = Instant::now();
+        // One byte a second and never a newline, until the daemon hangs up
+        // (or a bound well past the deadline, should it never).
+        let dripper = std::thread::spawn(move || {
+            while t0.elapsed() < IDLE + Duration::from_secs(10) {
+                if writer.write_all(b"x").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_secs(1));
+            }
+        });
+        // The other handler serves a normal client meanwhile.
+        let mut conn = connect(&endpoint);
+        send(&mut conn, r#"{"op": "ping"}"#);
+        assert!(read_line(&mut conn).contains("pong"));
+        assert!(t0.elapsed() < IDLE, "a normal client waited on the drip");
+        assert_eq!(
+            read_line(&mut drip),
+            "",
+            "the dripping line must be cut off"
+        );
+        let waited = t0.elapsed();
+        assert!(waited < IDLE + Duration::from_secs(5), "waited {waited:?}");
+        dripper.join().unwrap();
+        drop(conn);
         client::shutdown(&endpoint).unwrap();
         handle.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
