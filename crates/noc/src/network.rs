@@ -71,8 +71,12 @@ struct FaultDriver {
 /// worklist, and only routers on it are visited each cycle. A fully idle
 /// mesh steps in O(1). The router-to-router adjacency is precomputed at
 /// construction (`neighbors`), so the hot loop never re-derives
-/// coordinates, and switch allocation walks a bitmask of occupied input
-/// VCs instead of scanning every `(port, vc)` slot.
+/// coordinates. A router's five ports and their per-VC credit and
+/// ownership arrays live inline in the `Router`, so a port access is one
+/// offset, not a pointer chase. Switch allocation never scans every
+/// `(port, vc)` slot: route computation also records, per output, a
+/// bitmask of the occupied input VCs routed to it, and each output walks
+/// only its own mask.
 ///
 /// **Parking.** A router that is blocked on credits or on a held wormhole
 /// channel would be re-visited every cycle for nothing. So at the end of
@@ -165,7 +169,8 @@ pub struct Network {
     /// path on a single never-taken branch.
     trace: Option<Box<TraceState>>,
     /// Test oracle: never park, so every router with work is visited each
-    /// cycle.
+    /// cycle, and let switch allocation scan every occupied slot for each
+    /// output instead of its request mask.
     #[cfg(test)]
     dense: bool,
 }
@@ -220,6 +225,9 @@ struct SweepCtx<'a> {
     /// Whether a trace sink is installed; gates the (cheap) per-router
     /// congestion sampling inside the sweep.
     trace: bool,
+    /// Test oracle: switch allocation ignores the request masks.
+    #[cfg(test)]
+    dense: bool,
 }
 
 /// One stripe of the allocation sweep: a contiguous router-id range
@@ -402,19 +410,31 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
         let router = &mut stripe.routers[i];
 
         // Route computation for head flits at the front of idle VCs, plus
-        // the occupancy mask switch allocation walks: bit
-        // `port * num_vcs + vc` is set iff that input VC is Active with at
-        // least one buffered flit (the only slots that can ever win
-        // arbitration).
+        // the masks switch allocation walks: bit `port * num_vcs + vc` is
+        // set in `occupied` iff that input VC is Active with at least one
+        // buffered flit (the only slots that can ever win arbitration), and
+        // in `requests[d]` iff, in addition, its route leads to output `d`.
+        // A route holds until the tail leaves, so the masks stay exact for
+        // the whole visit.
         let mut occupied: u64 = 0;
+        let mut requests = [0u64; 5];
         for port in 0..5 {
             for vc in 0..num_vcs {
                 let ivc = &mut router.inputs[port].vcs[vc];
-                if matches!(ivc.state, VcState::Idle) {
-                    let Some(front) = ivc.buf.front() else {
-                        continue;
-                    };
-                    if front.is_head() {
+                let out_dir = match ivc.state {
+                    VcState::Active { out_dir, .. } => {
+                        if ivc.buf.is_empty() {
+                            continue;
+                        }
+                        out_dir
+                    }
+                    VcState::Idle => {
+                        let Some(front) = ivc.buf.front() else {
+                            continue;
+                        };
+                        if !front.is_head() {
+                            continue;
+                        }
                         let (dst_id, len, packet, down) =
                             (front.dst, front.len, front.packet, front.down_phase);
                         let dst = ctx.mesh.coord(dst_id);
@@ -445,13 +465,12 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                         };
                         router.activity.routes_computed += 1;
                         stripe.moved[i] = true;
-                    } else {
-                        continue;
+                        out_dir
                     }
-                } else if ivc.buf.is_empty() {
-                    continue;
-                }
-                occupied |= 1 << (port * num_vcs + vc);
+                };
+                let bit = 1u64 << (port * num_vcs + vc);
+                occupied |= bit;
+                requests[out_dir.index()] |= bit;
             }
         }
         if occupied == 0 {
@@ -459,16 +478,24 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
         }
 
         // Switch allocation: at most one flit per output port and one per
-        // input port each cycle, round-robin among requesters. The two
-        // masked passes visit exactly the occupied slots the dense scan
-        // would, in the same rotated order.
+        // input port each cycle, round-robin among requesters. Output `d`
+        // walks only its request mask, in the rotated slot order a dense
+        // `(port, vc)` scan would use; an output nobody requests is skipped.
         let mut input_used = [false; 5];
         for out_dir in Direction::ALL {
             let d = out_dir.index();
+            let want = requests[d];
+            // Test oracle: the allocator before request masks scanned every
+            // occupied slot and dropped those routed elsewhere.
+            #[cfg(test)]
+            let want = if ctx.dense { occupied } else { want };
+            if want == 0 {
+                continue;
+            }
             let start = router.outputs[d].rr_ptr % ctx.slots;
             let mut winner: Option<(usize, usize)> = None;
-            let above = occupied & (!0u64 << start);
-            let below = occupied & !(!0u64 << start);
+            let above = want & (!0u64 << start);
+            let below = want & !(!0u64 << start);
             'scan: for half in [above, below] {
                 let mut m = half;
                 while m != 0 {
@@ -479,16 +506,16 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                         continue;
                     }
                     let ivc = &router.inputs[port].vcs[vc];
-                    let VcState::Active { out_dir: od, .. } = ivc.state else {
-                        unreachable!("masked slot must be active")
-                    };
-                    if od != out_dir {
+                    // Only the dense oracle's `want` holds slots routed to
+                    // other outputs.
+                    #[cfg(test)]
+                    if !matches!(ivc.state, VcState::Active { out_dir: od, .. } if od == out_dir) {
                         continue;
                     }
                     // Wormhole VC allocation: only the owning input VC may
                     // send on an allocated outbound channel, and a free
                     // channel can only be claimed by a head flit.
-                    let front = ivc.buf.front().expect("masked slot is non-empty");
+                    let front = ivc.buf.front().expect("requesting slot is non-empty");
                     match router.outputs[d].vc_owner[vc] {
                         None => {
                             if !front.is_head() {
@@ -538,10 +565,6 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                     }
                 }
                 VcState::Idle => unreachable!("winner VC must be active"),
-            }
-            let drained = ivc.buf.is_empty() || matches!(ivc.state, VcState::Idle);
-            if drained {
-                occupied &= !(1 << (port * num_vcs + vc));
             }
             router.activity.buffer_reads += 1;
             router.activity.xbar_traversals += 1;
@@ -914,6 +937,8 @@ impl Network {
                 _ => None,
             },
             trace: self.trace.is_some(),
+            #[cfg(test)]
+            dense: self.dense,
         };
         if nstripes == 1 {
             let out = &mut self.stripe_outs[0];
@@ -1376,6 +1401,10 @@ impl Network {
     /// traffic the new fabric can no longer carry. Runs serially at the top
     /// of [`Network::step`], so the parallel sweep only ever observes a
     /// settled fabric.
+    ///
+    /// Kept out of line: inlined, its teardown (which rebuilds routers)
+    /// swells the stack frame and register spills of every `step`.
+    #[inline(never)]
     fn apply_fault_events(&mut self, now: u64) {
         match &self.faults {
             Some(d) if d.next < d.events.len() && d.events[d.next].at <= now => {}
@@ -2196,14 +2225,17 @@ mod tests {
 
 #[cfg(test)]
 mod parking_oracle {
-    //! Lockstep oracle for router parking. Two networks take identical
-    //! traffic and fault plans; one parks blocked routers, the other runs
-    //! dense (every router with work is visited every cycle, the behaviour
-    //! before parking existed). They must agree on every observable, every
-    //! cycle, at any thread count.
+    //! Lockstep oracle for router parking and switch-allocation request
+    //! masks. Two networks take identical traffic and fault plans; one
+    //! parks blocked routers and allocates from per-output request masks,
+    //! the other runs dense (every router with work is visited every cycle,
+    //! and every output scans all occupied slots: the behaviour before
+    //! either existed). They must agree on every observable, every cycle,
+    //! at any thread count.
 
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::router::MAX_VCS;
     use crate::traffic::{TrafficGenerator, TrafficPattern};
     use hotnoc_obs::VecSink;
     use proptest::prelude::*;
@@ -2215,9 +2247,10 @@ mod parking_oracle {
             .collect()
     }
 
-    fn mk(mesh: Mesh, vcs: u8, threads: usize, dense: bool) -> Network {
+    fn mk(mesh: Mesh, vcs: u8, depth: u32, threads: usize, dense: bool) -> Network {
         let cfg = NocConfig {
             num_vcs: vcs,
+            buffer_depth: depth,
             ..NocConfig::default()
         };
         let mut net = Network::try_new(mesh, cfg, RoutingKind::Xy).unwrap();
@@ -2284,13 +2317,96 @@ mod parking_oracle {
         }
     }
 
+    /// One lockstep run: 300 cycles of traffic under a fail-then-repair
+    /// plan, then the drain, comparing the optimized network against the
+    /// dense oracle every cycle and their deliveries and traces at the end.
+    struct Case {
+        side: usize,
+        vcs: u8,
+        depth: u32,
+        pattern: u8,
+        rate: f64,
+        len: u32,
+        seed: u64,
+        threads: usize,
+        fail_at: u64,
+        repair_after: u64,
+        trace_at: u64,
+    }
+
+    fn lockstep(case: Case) {
+        let Case {
+            side,
+            vcs,
+            depth,
+            seed,
+            threads,
+            ..
+        } = case;
+        let mesh = Mesh::square(side).unwrap();
+        let pattern = match case.pattern {
+            0 => TrafficPattern::UniformRandom,
+            1 => TrafficPattern::Transpose,
+            _ => TrafficPattern::Hotspot {
+                nodes: vec![Coord::new((seed % side as u64) as u8, (side / 2) as u8)],
+                fraction: 0.6,
+            },
+        };
+        let pick = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let plan = fault_plan(side, pick, case.fail_at, case.repair_after);
+        let mut a = mk(mesh, vcs, depth, threads, false);
+        let mut b = mk(mesh, vcs, depth, threads, true);
+        a.install_fault_plan(plan.clone()).unwrap();
+        b.install_fault_plan(plan).unwrap();
+        let mk_gen = || TrafficGenerator::new(mesh, pattern.clone(), case.rate, case.len, seed);
+        let (mut gen_a, mut gen_b) = (mk_gen(), mk_gen());
+        // The generator sends Data packets only, which ride VC 0. Every
+        // third cycle a State packet (VC 1 when there are two or more)
+        // joins it, so switch allocation arbitrates between VCs of a port.
+        let n = mesh.len() as u64;
+        let state_packet = |cycle: u64| {
+            let src = NodeId::new(((seed + cycle) % n) as u16);
+            let dst = NodeId::new(((seed / 7 + cycle * 5) % n) as u16);
+            Packet::new((1 << 40) + cycle, src, dst, PacketClass::State, case.len)
+        };
+        for cycle in 0..300u64 {
+            if cycle == case.trace_at {
+                a.set_trace_sink(Box::new(VecSink::new()));
+                b.set_trace_sink(Box::new(VecSink::new()));
+            }
+            gen_a.tick(&mut a);
+            gen_b.tick(&mut b);
+            if cycle % 3 == 0 {
+                a.inject(state_packet(cycle)).unwrap();
+                b.inject(state_packet(cycle)).unwrap();
+            }
+            step_both(&mut a, &mut b);
+        }
+        // Keep stepping past the repairs into the drain, still in
+        // lockstep; a saturated hotspot need not finish draining.
+        for _ in 0..2_000 {
+            if b.in_flight() == 0 {
+                break;
+            }
+            step_both(&mut a, &mut b);
+        }
+        prop_assert_eq!(a.drain_all_delivered(), b.drain_all_delivered());
+        let events_a = a.take_trace_sink().unwrap().drain();
+        let events_b = b.take_trace_sink().unwrap().drain();
+        prop_assert_eq!(events_a.len(), events_b.len(), "trace lengths differ");
+        for (i, (ea, eb)) in events_a.iter().zip(&events_b).enumerate() {
+            prop_assert_eq!(ea, eb, "trace event {} differs", i);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn parked_network_matches_dense_oracle_cycle_for_cycle(
             side in 3usize..9,
-            vcs in 1u8..4,
+            vcs in 1u8..MAX_VCS as u8 + 1,
+            depth in 1u32..5,
             pattern in 0u8..3,
             rate_pct in 1u32..51,
             len in 1u32..7,
@@ -2300,55 +2416,47 @@ mod parking_oracle {
             repair_after in 1u64..200,
             trace_at in 0u64..100,
         ) {
-            let mesh = Mesh::square(side).unwrap();
-            let threads = if three_threads == 1 { 3 } else { 1 };
-            let pattern = match pattern {
-                0 => TrafficPattern::UniformRandom,
-                1 => TrafficPattern::Transpose,
-                _ => TrafficPattern::Hotspot {
-                    nodes: vec![Coord::new((seed % side as u64) as u8, (side / 2) as u8)],
-                    fraction: 0.6,
-                },
-            };
-            let rate = rate_pct as f64 / 100.0;
-            let pick = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let plan = fault_plan(side, pick, fail_at, repair_after);
-            let (mut a, mut b) = (mk(mesh, vcs, threads, false), mk(mesh, vcs, threads, true));
-            a.install_fault_plan(plan.clone()).unwrap();
-            b.install_fault_plan(plan).unwrap();
-            let mk_gen = || TrafficGenerator::new(mesh, pattern.clone(), rate, len, seed);
-            let (mut gen_a, mut gen_b) = (mk_gen(), mk_gen());
-            for cycle in 0..300u64 {
-                if cycle == trace_at {
-                    a.set_trace_sink(Box::new(VecSink::new()));
-                    b.set_trace_sink(Box::new(VecSink::new()));
-                }
-                gen_a.tick(&mut a);
-                gen_b.tick(&mut b);
-                step_both(&mut a, &mut b);
-            }
-            // Keep stepping past the repairs into the drain, still in
-            // lockstep; a saturated hotspot need not finish draining.
-            for _ in 0..2_000 {
-                if b.in_flight() == 0 {
-                    break;
-                }
-                step_both(&mut a, &mut b);
-            }
-            prop_assert_eq!(a.drain_all_delivered(), b.drain_all_delivered());
-            let events_a = a.take_trace_sink().unwrap().drain();
-            let events_b = b.take_trace_sink().unwrap().drain();
-            prop_assert_eq!(events_a.len(), events_b.len(), "trace lengths differ");
-            for (i, (ea, eb)) in events_a.iter().zip(&events_b).enumerate() {
-                prop_assert_eq!(ea, eb, "trace event {} differs", i);
-            }
+            lockstep(Case {
+                side,
+                vcs,
+                depth,
+                pattern,
+                rate: rate_pct as f64 / 100.0,
+                len,
+                seed,
+                threads: if three_threads == 1 { 3 } else { 1 },
+                fail_at,
+                repair_after,
+                trace_at,
+            });
+        }
+    }
+
+    /// The widest slot mask (`5 * MAX_VCS` bits) with single-flit buffers,
+    /// where every hop waits on a credit: a saturated hotspot.
+    #[test]
+    fn max_vcs_at_buffer_depth_one_matches_the_dense_oracle() {
+        for threads in [1, 3] {
+            lockstep(Case {
+                side: 6,
+                vcs: MAX_VCS as u8,
+                depth: 1,
+                pattern: 2,
+                rate: 0.45,
+                len: 4,
+                seed: 11,
+                threads,
+                fail_at: 120,
+                repair_after: 60,
+                trace_at: 0,
+            });
         }
     }
 
     #[test]
     fn saturated_hotspot_parks_routers_and_wakes_them() {
         let mesh = Mesh::square(6).unwrap();
-        let mut net = mk(mesh, 2, 1, false);
+        let mut net = mk(mesh, 2, 4, 1, false);
         let pattern = TrafficPattern::Hotspot {
             nodes: vec![Coord::new(3, 3)],
             fraction: 0.8,

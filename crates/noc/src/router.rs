@@ -14,6 +14,13 @@ use crate::stats::RouterActivity;
 use crate::topology::{Coord, Direction};
 use std::collections::VecDeque;
 
+/// Most virtual channels a port can have: the [`NocConfig::validate`]
+/// bound, and the fixed length of the per-VC output arrays.
+pub(crate) const MAX_VCS: usize = 8;
+
+// Switch allocation keeps one bit per `(port, vc)` slot in a `u64`.
+const _: () = assert!(5 * MAX_VCS <= 64, "slot masks must fit in a u64");
+
 /// State of one virtual channel at an input port.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum VcState {
@@ -54,15 +61,17 @@ pub(crate) struct InputPort {
 }
 
 /// An output port: downstream credit counters and the round-robin pointer
-/// used by switch allocation.
+/// used by switch allocation. The per-VC arrays are sized [`MAX_VCS`];
+/// slots at or above `num_vcs` are never used and keep their initial
+/// values (`buffer_depth` credits, no owner).
 #[derive(Debug, Clone)]
 pub(crate) struct OutputPort {
     /// Credits per downstream virtual channel.
-    pub credits: Vec<u32>,
+    pub credits: [u32; MAX_VCS],
     /// Wormhole ownership: which (input port, vc) currently holds each
     /// outbound virtual channel. `None` means the channel is free and only a
     /// head flit may claim it; ownership is released when the tail passes.
-    pub vc_owner: Vec<Option<(u8, u8)>>,
+    pub vc_owner: [Option<(u8, u8)>; MAX_VCS],
     /// Round-robin arbitration pointer over (input port, vc) pairs.
     pub rr_ptr: usize,
     /// Credits in flight back to this port: (vc, cycle at which they land).
@@ -78,30 +87,26 @@ pub(crate) struct OutputPort {
 #[derive(Debug, Clone)]
 pub struct Router {
     coord: Coord,
-    pub(crate) inputs: Vec<InputPort>,
-    pub(crate) outputs: Vec<OutputPort>,
+    pub(crate) inputs: [InputPort; 5],
+    pub(crate) outputs: [OutputPort; 5],
     pub(crate) activity: RouterActivity,
 }
 
 impl Router {
     /// Creates an idle router at `coord`.
     pub(crate) fn new(coord: Coord, cfg: &NocConfig) -> Self {
-        let inputs = (0..5)
-            .map(|_| InputPort {
-                vcs: (0..cfg.num_vcs)
-                    .map(|_| InputVc::new(cfg.buffer_depth))
-                    .collect(),
-            })
-            .collect();
-        let outputs = (0..5)
-            .map(|_| OutputPort {
-                credits: vec![cfg.buffer_depth; cfg.num_vcs as usize],
-                vc_owner: vec![None; cfg.num_vcs as usize],
-                rr_ptr: 0,
-                credit_queue: VecDeque::new(),
-                last_payload: 0,
-            })
-            .collect();
+        let inputs = std::array::from_fn(|_| InputPort {
+            vcs: (0..cfg.num_vcs)
+                .map(|_| InputVc::new(cfg.buffer_depth))
+                .collect(),
+        });
+        let outputs = std::array::from_fn(|_| OutputPort {
+            credits: [cfg.buffer_depth; MAX_VCS],
+            vc_owner: [None; MAX_VCS],
+            rr_ptr: 0,
+            credit_queue: VecDeque::new(),
+            last_payload: 0,
+        });
         Router {
             coord,
             inputs,
@@ -226,6 +231,18 @@ mod tests {
         r.land_credits(10);
         assert_eq!(r.outputs[0].credits[0], 2);
         assert!(before >= 1);
+    }
+
+    #[test]
+    fn max_vcs_is_the_config_bound() {
+        let with = |num_vcs: usize| NocConfig {
+            num_vcs: num_vcs as u8,
+            ..cfg()
+        };
+        assert!(with(MAX_VCS).validate().is_ok());
+        assert!(with(MAX_VCS + 1).validate().is_err());
+        let r = Router::new(Coord::new(0, 0), &with(MAX_VCS));
+        assert!(r.inputs.iter().all(|p| p.vcs.len() == MAX_VCS));
     }
 
     #[test]

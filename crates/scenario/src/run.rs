@@ -109,33 +109,45 @@ fn dispatch(
 /// (campaigns reuse a handful of chips, so eviction is a non-event).
 const CHIP_CACHE_CAP: usize = 32;
 
+/// A cached chip: filled once by whichever worker locks it first.
+type ChipSlot = Arc<Mutex<Option<Arc<(Chip, CalibratedPower)>>>>;
+
 /// Builds and calibrates the chip a scenario runs on, memoized process-wide
 /// by canonical chip JSON + fidelity. Building a chip is expensive (a full
 /// cycle-accurate NoC block simulation plus a bisection of leakage-coupled
 /// steady-state solves) and campaigns run many jobs against the same chip —
-/// e.g. `fig1` runs five schemes per configuration. Construction happens
-/// outside the lock so distinct chips calibrate in parallel; a race on one
-/// key wastes a duplicate build but stays deterministic (calibration is a
-/// pure function of the spec, so both results are identical).
+/// e.g. `fig1` runs five schemes per configuration. Each key computes once:
+/// the map lock is held only to find the key's slot, and the first worker
+/// to lock the slot builds the chip while later requests for the same key
+/// wait on that slot, so distinct chips still calibrate in parallel. A
+/// failed build leaves the slot empty and returns its error; the next
+/// request retries.
 fn calibrated_chip(
     kind: &ChipKind,
     fidelity: Fidelity,
 ) -> Result<Arc<(Chip, CalibratedPower)>, ScenarioError> {
-    type Cache = Mutex<HashMap<String, Arc<(Chip, CalibratedPower)>>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
+    static CACHE: OnceLock<Mutex<HashMap<String, ChipSlot>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let key = format!("{}|{}", fidelity_name(fidelity), kind.to_json());
-    if let Some(hit) = cache.lock().expect("chip cache lock").get(&key) {
+    let slot = {
+        let mut map = cache.lock().expect("chip cache lock");
+        if map.len() >= CHIP_CACHE_CAP && !map.contains_key(&key) {
+            map.clear();
+        }
+        Arc::clone(map.entry(key).or_default())
+    };
+    // A worker that panicked mid-build left the slot empty; build again.
+    let mut chip_slot = slot.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(hit) = &*chip_slot {
         return Ok(Arc::clone(hit));
     }
+    #[cfg(test)]
+    tests::count_calibration(kind);
     let mut chip = Chip::build(kind.to_chip_spec(fidelity))?;
     let cal = chip.calibrate()?;
     let entry = Arc::new((chip, cal));
-    let mut map = cache.lock().expect("chip cache lock");
-    if map.len() >= CHIP_CACHE_CAP {
-        map.clear();
-    }
-    Ok(Arc::clone(map.entry(key).or_insert(entry)))
+    *chip_slot = Some(Arc::clone(&entry));
+    Ok(entry)
 }
 
 fn run_ldpc(
@@ -236,6 +248,77 @@ mod tests {
     use crate::spec::ChipKind;
     use hotnoc_core::configs::ChipConfigId;
     use hotnoc_noc::TrafficPattern;
+    use std::sync::Barrier;
+
+    /// Canonical JSON of every chip `calibrated_chip` started to build.
+    static CALIBRATIONS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    pub(super) fn count_calibration(kind: &ChipKind) {
+        let key = kind.to_json().to_string();
+        CALIBRATIONS.lock().unwrap().push(key);
+    }
+
+    fn calibrations_of(kind: &ChipKind) -> usize {
+        let key = kind.to_json().to_string();
+        CALIBRATIONS
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|k| **k == key)
+            .count()
+    }
+
+    /// A custom chip no other test uses, so its calibration count is the
+    /// calling test's alone.
+    fn private_chip(mesh_side: usize, base_peak_celsius: f64) -> ChipKind {
+        ChipKind::Custom {
+            mesh_side,
+            tile_weights: (0..mesh_side * mesh_side)
+                .map(|i| 1.0 + i as f64 / 64.0)
+                .collect(),
+            base_peak_celsius,
+        }
+    }
+
+    /// `threads` workers released together, each asking for `kind`.
+    fn race_for(
+        kind: &ChipKind,
+        threads: usize,
+    ) -> Vec<Result<Arc<(Chip, CalibratedPower)>, ScenarioError>> {
+        let barrier = Barrier::new(threads);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        calibrated_chip(kind, Fidelity::Quick)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_chip_calibrate_it_once() {
+        let kind = private_chip(4, 81.25);
+        let chips: Vec<_> = race_for(&kind, 4).into_iter().map(Result::unwrap).collect();
+        assert_eq!(calibrations_of(&kind), 1);
+        assert!(chips.iter().all(|c| Arc::ptr_eq(c, &chips[0])));
+        let again = calibrated_chip(&kind, Fidelity::Quick).unwrap();
+        assert!(Arc::ptr_eq(&again, &chips[0]));
+        assert_eq!(calibrations_of(&kind), 1);
+    }
+
+    #[test]
+    fn failed_calibrations_are_returned_and_not_cached() {
+        // Too many tiles to give each one cluster of the quick code.
+        let kind = private_chip(24, 85.0);
+        let results = race_for(&kind, 2);
+        assert!(results.iter().all(Result::is_err));
+        // Each request built and failed on its own; none saw a cached chip.
+        assert_eq!(calibrations_of(&kind), 2);
+    }
 
     fn traffic_spec(seed: u64) -> ScenarioSpec {
         ScenarioSpec {
